@@ -103,6 +103,7 @@ Result BenchWalReplay(const std::vector<StreamEdge>& edges,
   EdgeLog::Replay(dir, 0, &replay_side,
                   [&](const EdgeBatch& batch, uint64_t) {
                     replayed += batch.size();
+                    return OkStatus();
                   })
       .value();
   Result result{"wal replay", replayed, timer.ElapsedSeconds(), 0};

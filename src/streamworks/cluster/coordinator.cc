@@ -339,44 +339,20 @@ Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
     }
     first_round = false;
   } while (relays_total_ != before);
-  if (group_watermark_ > last_broadcast_watermark_) {
+  if (admission_.watermark() > last_broadcast_watermark_) {
     const uint64_t commit_start = PipelineMetrics::NowMicros();
     CtrlCommit commit;
-    commit.watermark = group_watermark_;
+    commit.watermark = admission_.watermark();
     const std::string frame = EncodeCommitFrame(commit);
     for (WorkerState& w : workers_) {
       SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
     }
-    last_broadcast_watermark_ = group_watermark_;
+    last_broadcast_watermark_ = admission_.watermark();
     if (phases != nullptr) {
       phases->commit_us += PipelineMetrics::NowMicros() - commit_start;
     }
   }
   return OkStatus();
-}
-
-bool DistributedBackend::AdmitEdge(const StreamEdge& edge) {
-  // Mirrors ParallelEngineGroup::AdmitPartitionedEdge, including AddEdge's
-  // side effect that an edge rejected on its dst label still records its
-  // src — shards only see edges incident to owned vertices, so label
-  // consistency must be enforced once, group-wide, here.
-  if (edge.ts < 0 || edge.ts < group_watermark_) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  auto [src_it, src_new] =
-      admitted_vertex_labels_.try_emplace(edge.src, edge.src_label);
-  if (!src_new && src_it->second != edge.src_label) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  auto [dst_it, dst_new] =
-      admitted_vertex_labels_.try_emplace(edge.dst, edge.dst_label);
-  if (!dst_new && dst_it->second != edge.dst_label) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
 }
 
 StatusOr<size_t> DistributedBackend::RunEpoch() {
@@ -397,19 +373,19 @@ StatusOr<size_t> DistributedBackend::RunEpoch() {
   const int n = static_cast<int>(workers_.size());
   std::vector<CtrlBatch> batches(workers_.size());
   for (const StreamEdge& edge : epoch) {
-    if (!AdmitEdge(edge)) continue;
-    const EdgeId id = next_global_edge_id_++;
-    group_watermark_ = edge.ts;
-    const int src_owner = partitioner_.OwnerShard(edge.src, n);
-    const int dst_owner = partitioner_.OwnerShard(edge.dst, n);
+    const auto route = admission_.Admit(edge, partitioner_, n);
+    if (!route.has_value()) {
+      rejected_edges_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     CtrlShardEdge routed;
     routed.edge = edge;
-    routed.global_id = id;
+    routed.global_id = route->id;
     routed.run_anchors = true;  // exactly one endpoint owner anchors
-    batches[static_cast<size_t>(src_owner)].edges.push_back(routed);
-    if (dst_owner != src_owner) {
+    batches[static_cast<size_t>(route->src_owner)].edges.push_back(routed);
+    if (route->dst_owner != route->src_owner) {
       routed.run_anchors = false;
-      batches[static_cast<size_t>(dst_owner)].edges.push_back(routed);
+      batches[static_cast<size_t>(route->dst_owner)].edges.push_back(routed);
     }
   }
   const LabelNameFn name = [this](LabelId id) -> std::string_view {

@@ -10,11 +10,11 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "streamworks/common/interner.h"
 #include "streamworks/graph/dynamic_graph.h"
+#include "streamworks/graph/edge_admission.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/net/peer_link.h"
 #include "streamworks/obs/cluster_snapshot.h"
@@ -226,10 +226,6 @@ class DistributedBackend : public QueryBackend {
   /// RunEpoch until the pending queue is empty (control ops call this so
   /// they observe all prior ingest).
   Status DrainPending();
-  /// Admission mirror of ParallelEngineGroup::AdmitPartitionedEdge —
-  /// group-consistent label/time validation, done once here so every
-  /// shard's vertex records agree.
-  bool AdmitEdge(const StreamEdge& edge);
 
   /// Copies newly interned names out of the service interner into the
   /// thread-safe cache the pump's encoders read. Control-thread only.
@@ -262,10 +258,9 @@ class DistributedBackend : public QueryBackend {
   /// coordinator-side external-id resolution without storing any edges.
   DynamicGraph coord_graph_;
 
-  // Group ingest state (the in-process group's fields, mirrored).
-  std::unordered_map<ExternalVertexId, LabelId> admitted_vertex_labels_;
-  EdgeId next_global_edge_id_ = 0;
-  Timestamp group_watermark_ = -1;
+  // Group ingest state: the in-process group's admission, run once here
+  // so every worker's vertex records agree.
+  EdgeAdmission admission_;
   Timestamp last_broadcast_watermark_ = -1;
   uint32_t barrier_round_ = 0;
   uint64_t relays_total_ = 0;

@@ -44,7 +44,8 @@ Status WorkerDaemon::Start() {
                       ListenTcp(options_.host, options_.port, /*backlog=*/4));
   SW_ASSIGN_OR_RETURN(port_, BoundTcpPort(listen_fd_.get()));
   if (!options_.data_dir.empty()) {
-    SW_ASSIGN_OR_RETURN(log_, FrameLog::Open(FrameLogDir(options_.data_dir)));
+    SW_ASSIGN_OR_RETURN(log_, SegmentLog::Open(FrameLogDir(options_.data_dir),
+                                               kFrameLogFormat));
   }
   // The worker's own series carry {role="worker"}: identical labels on
   // every shard, so federation's additive merge collapses them into one
@@ -229,29 +230,27 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
       replaying_ = true;
       replay_exchange_skip_ = hello.exchange_items_received;
       replay_completion_skip_ = hello.completions_received;
-      Status replay_status = OkStatus();
-      const Status scanned = FrameLog::Replay(
-          FrameLogDir(options_.data_dir), /*from_seq=*/0,
-          [&](std::string_view record, uint64_t seq) {
-            if (!replay_status.ok()) return;
+      const auto scanned = SegmentLog::Replay(
+          FrameLogDir(options_.data_dir), kFrameLogFormat, /*from_seq=*/0,
+          [&](std::string_view record,
+              uint64_t seq) -> StatusOr<uint64_t> {
             const CtrlDecodeResult decoded = DecodeCtrlFrame(
                 record, kDefaultMaxFrameBodyBytes, &interner_);
             if (decoded.status != FrameDecodeStatus::kOk ||
                 decoded.frame_bytes != record.size()) {
-              replay_status = Status::DataLoss(
-                  StrCat("undecodable frame log record ", seq, ": ",
-                         decoded.error));
-              return;
+              return Status::DataLoss(StrCat("undecodable frame log record ",
+                                             seq, ": ", decoded.error));
             }
-            replay_status = ApplyStateFrame(decoded.frame, nullptr);
-            if (replay_status.ok()) replay_status = FlushOutbox(nullptr);
+            SW_RETURN_IF_ERROR(ApplyStateFrame(decoded.frame, nullptr));
+            SW_RETURN_IF_ERROR(FlushOutbox(nullptr));
             ++counters_.replayed_frames;
+            return uint64_t{1};
           });
       replaying_ = false;
-      if (!scanned.ok() || !replay_status.ok()) {
+      if (!scanned.ok()) {
         fatal_ = true;
         pending_out_.clear();
-        return scanned.ok() ? replay_status : scanned;
+        return scanned.status();
       }
       applied_frames_ = log_->next_seq();
       counters_.frames_applied = applied_frames_;

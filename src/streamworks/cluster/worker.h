@@ -15,7 +15,7 @@
 #include "streamworks/obs/http_endpoint.h"
 #include "streamworks/obs/metric_registry.h"
 #include "streamworks/obs/stage_trace.h"
-#include "streamworks/persist/frame_log.h"
+#include "streamworks/persist/segment_log.h"
 #include "streamworks/sjtree/exchange.h"
 #include "streamworks/stream/cluster_wire.h"
 
@@ -57,7 +57,7 @@ struct WorkerCounters {
 /// and watermark commits drive expiry (kCommit).
 ///
 /// Durability and exactly-once recovery: every *state-bearing* frame
-/// (IsStateCtrlType) is appended to a FrameLog before it is applied, in
+/// (IsStateCtrlType) is appended to the frame log before it is applied, in
 /// arrival order. After a crash (kill -9 included — the log needs no
 /// fsync to survive process death) the restarted daemon defers replay
 /// until the coordinator's Hello arrives carrying two cursors: how many
@@ -70,6 +70,10 @@ struct WorkerCounters {
 /// state frames [M, S) the crash swallowed. Net effect: every frame is
 /// applied exactly once, every output delivered exactly once, with no
 /// quiescence requirement on when the kill lands.
+///
+/// The frame log is a SegmentLog in kFrameLogFormat under
+/// <data_dir>/frames: the edge WAL's segment format, one control frame
+/// per record, each spanning one sequence number.
 ///
 /// Single-threaded by design: one connection (the coordinator's), one
 /// engine, no locks. The accept loop outlives connections so a
@@ -172,7 +176,7 @@ class WorkerDaemon {
   std::unique_ptr<HashModuloPartitioner> partitioner_;
   MatchExchange exchange_;
   std::unique_ptr<StreamWorksEngine> engine_;
-  std::unique_ptr<FrameLog> log_;
+  std::unique_ptr<SegmentLog> log_;  ///< kFrameLogFormat, span 1.
 
   int shard_index_ = -1;
   int num_shards_ = 0;

@@ -273,56 +273,27 @@ void ParallelEngineGroup::EnqueueTask(Shard* shard, ShardTask task,
   if (was_empty) shard->cv_consumer.notify_one();
 }
 
-bool ParallelEngineGroup::AdmitPartitionedEdge(const StreamEdge& edge) {
-  // The checks AddEdge would apply, against *group* state: shards see only
-  // the edges incident to their owned vertices, so an endpoint-label clash
-  // the owner shard would reject could slip into the other endpoint's
-  // shard (which has never seen the clashing vertex) and corrupt results.
-  // Validating once here keeps every shard's vertex records globally
-  // consistent — and rejects exactly the edges a single engine rejects.
-  if (edge.ts < 0 || edge.ts < group_watermark_) {
-    ++group_rejected_;
-    return false;
-  }
-  // Mirror AddEdge's sequential endpoint checks, including the side effect
-  // that an edge rejected on its dst label has still recorded its src.
-  auto [src_it, src_new] =
-      admitted_vertex_labels_.try_emplace(edge.src, edge.src_label);
-  if (!src_new && src_it->second != edge.src_label) {
-    ++group_rejected_;
-    return false;
-  }
-  auto [dst_it, dst_new] =
-      admitted_vertex_labels_.try_emplace(edge.dst, edge.dst_label);
-  if (!dst_new && dst_it->second != edge.dst_label) {
-    ++group_rejected_;
-    return false;
-  }
-  return true;
-}
-
 void ParallelEngineGroup::PartitionedIngest(const StreamEdge& edge) {
-  if (!AdmitPartitionedEdge(edge)) return;
-  const EdgeId id = next_global_edge_id_++;
-  group_watermark_ = edge.ts;
+  const auto route = admission_.Admit(edge, *partitioner_, num_shards());
+  if (!route.has_value()) {
+    ++group_rejected_;
+    return;
+  }
   ++edges_since_epoch_;
-  const int n = num_shards();
-  const int src_owner = partitioner_->OwnerShard(edge.src, n);
-  const int dst_owner = partitioner_->OwnerShard(edge.dst, n);
   ShardTask task;
   task.kind = ShardTask::Kind::kEdge;
   task.run_anchors = true;  // the src owner anchors; exactly one shard
   task.edge = edge;
-  task.edge_id = id;
-  EnqueueTask(shards_[static_cast<size_t>(src_owner)].get(),
+  task.edge_id = route->id;
+  EnqueueTask(shards_[static_cast<size_t>(route->src_owner)].get(),
               std::move(task), /*bounded=*/true);
-  if (dst_owner != src_owner) {
+  if (route->dst_owner != route->src_owner) {
     ShardTask copy;
     copy.kind = ShardTask::Kind::kEdge;
     copy.run_anchors = false;
     copy.edge = edge;
-    copy.edge_id = id;
-    EnqueueTask(shards_[static_cast<size_t>(dst_owner)].get(),
+    copy.edge_id = route->id;
+    EnqueueTask(shards_[static_cast<size_t>(route->dst_owner)].get(),
                 std::move(copy), /*bounded=*/true);
   }
 }
@@ -332,12 +303,12 @@ void ParallelEngineGroup::EpochFlush() {
   // Drain every queue and everything the exchange spawned, so no in-flight
   // match still needs a neighbourhood the watermark broadcast may evict.
   WaitDrained();
-  if (group_watermark_ <= last_broadcast_watermark_) return;
-  last_broadcast_watermark_ = group_watermark_;
+  if (admission_.watermark() <= last_broadcast_watermark_) return;
+  last_broadcast_watermark_ = admission_.watermark();
   for (auto& shard : shards_) {
     ShardTask task;
     task.kind = ShardTask::Kind::kWatermark;
-    task.watermark = group_watermark_;
+    task.watermark = admission_.watermark();
     EnqueueTask(shard.get(), std::move(task), /*bounded=*/false);
   }
 }
@@ -538,8 +509,8 @@ WindowSnapshot ParallelEngineGroup::ExportWindow() {
     return shards_[0]->engine.ExportWindow();
   }
   WindowSnapshot merged;
-  merged.next_edge_id = next_global_edge_id_;
-  merged.watermark = group_watermark_;
+  merged.next_edge_id = admission_.next_edge_id();
+  merged.watermark = admission_.watermark();
   for (auto& shard : shards_) {
     WindowSnapshot per = shard->engine.ExportWindow();
     merged.edges.insert(merged.edges.end(), per.edges.begin(),
@@ -580,20 +551,16 @@ Status ParallelEngineGroup::RestoreWindow(const WindowSnapshot& snapshot) {
           shards_[static_cast<size_t>(dst_owner)]->engine.RestoreWindowEdge(
               pe.edge, pe.id));
     }
-    // Rebuild group admission state so a post-recovery label clash on a
-    // retained vertex is rejected exactly as before the crash. (Vertices
-    // whose every edge was evicted pre-snapshot lose their recorded
-    // label; admission for them starts fresh — documented.)
-    admitted_vertex_labels_.try_emplace(pe.edge.src, pe.edge.src_label);
-    admitted_vertex_labels_.try_emplace(pe.edge.dst, pe.edge.dst_label);
   }
   for (auto& shard : shards_) {
     shard->engine.FinishWindowRestore(snapshot.next_edge_id,
                                       snapshot.watermark);
   }
   if (mode_ == ShardingMode::kPartitionedData) {
-    next_global_edge_id_ = snapshot.next_edge_id;
-    group_watermark_ = snapshot.watermark;
+    // A post-recovery label clash on a retained vertex must be rejected
+    // exactly as before the crash.
+    admission_.Restore(snapshot.edges, snapshot.next_edge_id,
+                       snapshot.watermark);
     last_broadcast_watermark_ = snapshot.watermark;
   }
   return OkStatus();

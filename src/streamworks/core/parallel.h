@@ -6,10 +6,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "streamworks/core/engine.h"
+#include "streamworks/graph/edge_admission.h"
 #include "streamworks/graph/partition.h"
 
 namespace streamworks {
@@ -227,11 +227,6 @@ class ParallelEngineGroup {
   void QuiesceAll();
 
   // --- Partitioned-mode internals (control thread only) ---------------------
-  /// Group-level admission: the checks DynamicGraph::AddEdge would apply,
-  /// evaluated against group state, so shards only ever see valid edges
-  /// and agree on every vertex's label (a shard seeing only one endpoint
-  /// could otherwise record a clashing label the owner shard rejected).
-  bool AdmitPartitionedEdge(const StreamEdge& edge);
   void PartitionedIngest(const StreamEdge& edge);
   /// Drains everything, then broadcasts the group watermark so shards
   /// evict and expire consistently.
@@ -270,12 +265,10 @@ class ParallelEngineGroup {
   std::condition_variable drained_cv_;
 
   // Partitioned ingest state (control thread only).
-  EdgeId next_global_edge_id_ = 0;
-  Timestamp group_watermark_ = -1;
+  EdgeAdmission admission_;
   Timestamp last_broadcast_watermark_ = -1;
   int edges_since_epoch_ = 0;
-  uint64_t group_rejected_ = 0;
-  std::unordered_map<ExternalVertexId, LabelId> admitted_vertex_labels_;
+  uint64_t group_rejected_ = 0;  ///< Edges admission refused.
 };
 
 }  // namespace streamworks

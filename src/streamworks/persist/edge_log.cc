@@ -1,128 +1,56 @@
 #include "streamworks/persist/edge_log.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
-#include <optional>
+#include <utility>
 #include <vector>
 
-#include "streamworks/common/binio.h"
 #include "streamworks/common/str_util.h"
-#include "streamworks/persist/crc32.h"
-#include "streamworks/persist/fs_util.h"
+#include "streamworks/stream/wire_format.h"
 
 namespace streamworks {
 
 namespace {
 
-constexpr char kSegmentMagic[4] = {'S', 'W', 'L', '1'};
-constexpr uint32_t kSegmentVersion = 1;
-constexpr size_t kSegmentHeaderBytes = 20;
-constexpr size_t kRecordHeaderBytes = 8;  // len u32 + crc u32
-
-std::string SegmentName(uint64_t base_seq) {
-  return SeqFileName("wal-", base_seq, ".log");
+/// Decodes one WAL record's FEEDB frame. The record's CRC passed, so a
+/// frame that does not decode is not a torn write — it was encoded wrong
+/// (or the format changed). Refuse to guess.
+StatusOr<EdgeBatch> DecodeRecord(std::string_view frame, uint64_t first_seq,
+                                 size_t max_frame_body_bytes,
+                                 Interner* interner) {
+  FrameDecodeResult decoded =
+      DecodeFeedFrame(frame, max_frame_body_bytes, interner);
+  if (decoded.status != FrameDecodeStatus::kOk ||
+      decoded.frame_bytes != frame.size()) {
+    return Status::DataLoss(StrCat("undecodable WAL record at seq ",
+                                   first_seq, ": ", decoded.error));
+  }
+  return std::move(decoded.batch);
 }
 
-/// Segment paths in `dir`, ascending by base sequence.
-StatusOr<std::vector<std::pair<uint64_t, std::filesystem::path>>>
-ListSegments(const std::string& dir) {
-  return ListSeqFiles(dir, "wal-", ".log");
-}
-
-/// Validates a segment header. Returns the declared base sequence.
-StatusOr<uint64_t> CheckSegmentHeader(std::string_view bytes,
-                                      const std::string& what) {
-  if (bytes.size() < kSegmentHeaderBytes) {
-    return Status::DataLoss(what + ": short segment header");
-  }
-  if (std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    return Status::DataLoss(what + ": bad segment magic");
-  }
-  if (GetU32(bytes.data() + 4) != kSegmentVersion) {
-    return Status::DataLoss(what + ": unsupported segment version");
-  }
-  const uint32_t crc = GetU32(bytes.data() + 16);
-  if (Crc32(bytes.substr(0, 16)) != crc) {
-    return Status::DataLoss(what + ": segment header CRC mismatch");
-  }
-  return GetU64(bytes.data() + 8);
-}
-
-struct SegmentScan {
-  uint64_t next_seq = 0;      ///< One past the last valid edge.
-  size_t valid_bytes = 0;     ///< Offset of the first invalid byte.
-  bool tail_truncated = false;
+struct Chunk {
+  std::string frame;
+  uint64_t edges;
 };
 
-/// Walks a segment's records, delivering each decoded batch to `fn` (null
-/// fn = validate only). Stops at the first torn/corrupt record, reporting
-/// where. `expect_seq` checks record-sequence continuity.
-StatusOr<SegmentScan> ScanSegment(std::string_view bytes,
-                                  uint64_t base_seq, uint64_t from_seq,
-                                  Interner* interner,
-                                  size_t max_frame_body_bytes,
-                                  const EdgeLog::ReplayFn* fn,
-                                  const std::string& what) {
-  SegmentScan scan;
-  scan.next_seq = base_seq;
-  scan.valid_bytes = kSegmentHeaderBytes;
-  size_t pos = kSegmentHeaderBytes;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kRecordHeaderBytes) {
-      scan.tail_truncated = true;
-      return scan;
-    }
-    const uint32_t len = GetU32(bytes.data() + pos);
-    const uint32_t crc = GetU32(bytes.data() + pos + 4);
-    if (len < 8 || bytes.size() - pos - kRecordHeaderBytes < len) {
-      scan.tail_truncated = true;
-      return scan;
-    }
-    const std::string_view payload =
-        bytes.substr(pos + kRecordHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      scan.tail_truncated = true;
-      return scan;
-    }
-    const uint64_t first_seq = GetU64(payload.data());
-    if (first_seq != scan.next_seq) {
-      return Status::DataLoss(
-          StrCat(what, ": record sequence jumped from ", scan.next_seq,
-                 " to ", first_seq));
-    }
-    const std::string_view frame = payload.substr(8);
-    FrameDecodeResult decoded =
-        DecodeFeedFrame(frame, max_frame_body_bytes, interner);
-    if (decoded.status != FrameDecodeStatus::kOk ||
-        decoded.frame_bytes != frame.size()) {
-      // The CRC passed, so this is not a torn write — the record was
-      // encoded wrong (or the format changed). Refuse to guess.
-      return Status::DataLoss(StrCat(what, ": undecodable WAL record at ",
-                                     pos, ": ", decoded.error));
-    }
-    if (fn != nullptr && !decoded.batch.empty()) {
-      if (first_seq >= from_seq) {
-        (*fn)(decoded.batch, first_seq);
-      } else if (first_seq + decoded.batch.size() > from_seq) {
-        // The record straddles the snapshot stamp: deliver only the tail.
-        EdgeBatch trimmed(
-            decoded.batch.begin() +
-                static_cast<ptrdiff_t>(from_seq - first_seq),
-            decoded.batch.end());
-        (*fn)(trimmed, from_seq);
-      }
-    }
-    scan.next_seq += decoded.batch.size();
-    pos += kRecordHeaderBytes + len;
-    scan.valid_bytes = pos;
+/// Splits `batch` (already encoded as `frame`) in halves until every
+/// chunk's frame fits the bound. A single edge stays whole: the segment
+/// log refuses it, since no split can make it fit.
+Status SplitToFit(const EdgeBatch& batch, std::string frame,
+                  const Interner& interner, size_t max_frame_body_bytes,
+                  std::vector<Chunk>* out) {
+  if (batch.size() <= 1 ||
+      frame.size() - kFeedFrameHeaderBytes <= max_frame_body_bytes) {
+    out->push_back({std::move(frame), batch.size()});
+    return OkStatus();
   }
-  return scan;
+  const auto mid = batch.begin() + static_cast<ptrdiff_t>(batch.size() / 2);
+  for (const EdgeBatch& half :
+       {EdgeBatch(batch.begin(), mid), EdgeBatch(mid, batch.end())}) {
+    SW_ASSIGN_OR_RETURN(std::string half_frame,
+                        EncodeFeedFrame(half, interner));
+    SW_RETURN_IF_ERROR(SplitToFit(half, std::move(half_frame), interner,
+                                  max_frame_body_bytes, out));
+  }
+  return OkStatus();
 }
 
 }  // namespace
@@ -131,331 +59,54 @@ StatusOr<std::unique_ptr<EdgeLog>> EdgeLog::Open(const std::string& dir,
                                                  const Interner* interner,
                                                  EdgeLogOptions options,
                                                  uint64_t min_seq) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot create WAL dir " + dir + ": " +
-                           ec.message());
-  }
-  auto log = std::unique_ptr<EdgeLog>(new EdgeLog(dir, interner, options));
-  log->next_seq_ = min_seq;
-
-  // Single-writer lock: two processes appending into the same segments
-  // would interleave bytes and destroy record framing for both — ACKed,
-  // even fsynced, edges included. The O_EXCL on segment creation only
-  // guards the create path; this guards the whole directory for the
-  // log's lifetime (the fd releases the flock on close).
-  const std::filesystem::path lock_path =
-      std::filesystem::path(dir) / "wal.lock";
-  const int lock_fd =
-      ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (lock_fd < 0) {
-    return Status::IoError(StrCat("cannot open WAL lock ",
-                                  lock_path.string(), ": ",
-                                  std::strerror(errno)));
-  }
-  log->lock_fd_.reset(lock_fd);
-  if (::flock(lock_fd, LOCK_EX | LOCK_NB) != 0) {
-    return Status::FailedPrecondition(
-        "another process holds the WAL at " + dir +
-        " (two writers would corrupt acknowledged records)");
-  }
-
-  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir));
-  log->num_segments_ = segments.size();
-
-  // Older segments were sealed (fsynced) by rotation; only the last one
-  // can carry crash damage. A torn *tail* is truncated away; a torn
-  // *header* (a crash inside OpenNewSegment, before any record landed)
-  // means the whole file is garbage past the durable end — drop it and
-  // fall back to the now-last segment, exactly mirroring what Replay
-  // tolerates. Recovery must never be wedged by the debris of the very
-  // crash it exists to absorb.
-  while (!segments.empty()) {
-    const auto& [base, path] = segments.back();
-    SW_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-    auto base_or = CheckSegmentHeader(bytes, path.string());
-    if (!base_or.ok() || base_or.value() != base) {
-      std::filesystem::remove(path, ec);
-      if (ec) {
-        return Status::IoError("cannot drop torn WAL segment " +
-                               path.string() + ": " + ec.message());
-      }
-      segments.pop_back();
-      --log->num_segments_;
-      continue;
-    }
-    // Validate record-by-record (decoding into a scratch interner so
-    // Open has no side effects on the caller's label space) and truncate
-    // whatever a crash left half-written.
-    Interner scratch;
-    SW_ASSIGN_OR_RETURN(
-        const SegmentScan scan,
-        ScanSegment(bytes, base, /*from_seq=*/0, &scratch,
-                    options.max_frame_body_bytes, nullptr, path.string()));
-    if (scan.valid_bytes < bytes.size()) {
-      std::filesystem::resize_file(path, scan.valid_bytes, ec);
-      if (ec) {
-        return Status::IoError("cannot truncate torn WAL tail of " +
-                               path.string() + ": " + ec.message());
-      }
-    }
-    if (scan.next_seq < log->next_seq_) {
-      // The durable WAL ends before min_seq (a snapshot outlived pruned
-      // or lost segments). Keep the fast-forwarded cursor and leave fd_
-      // closed so the next append starts a fresh segment based there.
-      return log;
-    }
-    log->next_seq_ = scan.next_seq;
-
-    // Reopen the last segment for appending (rotation will take over
-    // once it fills).
-    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (fd < 0) {
-      return Status::IoError(StrCat("cannot reopen WAL segment ",
-                                    path.string(), ": ",
-                                    std::strerror(errno)));
-    }
-    log->fd_.reset(fd);
-    log->segment_size_ = scan.valid_bytes;
-    log->current_segment_base_ = base;
-    break;
-  }
-  return log;
-}
-
-Status EdgeLog::OpenNewSegment() {
-  const std::filesystem::path path =
-      std::filesystem::path(dir_) / SegmentName(next_seq_);
-  // O_EXCL guards against two logs on one directory; a leftover from a
-  // *failed* rotation attempt of this very log was unlinked below, so a
-  // retry after a transient error (ENOSPC freed, say) takes this path
-  // cleanly instead of wedging on EEXIST forever.
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError(StrCat("cannot create WAL segment ",
-                                  path.string(), ": ",
-                                  std::strerror(errno)));
-  }
-  fd_.reset(fd);
-  std::string header;
-  header.append(kSegmentMagic, sizeof(kSegmentMagic));
-  PutU32(&header, kSegmentVersion);
-  PutU64(&header, next_seq_);
-  PutU32(&header, Crc32(header));
-  if (Status written = WriteAll(fd_.get(), header); !written.ok()) {
-    // Roll the half-created segment back entirely so the next append
-    // can retry rotation at the same sequence.
-    fd_.reset();
-    ::unlink(path.c_str());
-    return written;
-  }
-  // Make the directory entry durable too: the records appended next may
-  // be fsynced, but a machine crash that forgets the *file* would lose
-  // them all with no DataLoss signal (the vanished segment would look
-  // like a clean log end).
-  FsyncDir(dir_);
-  current_segment_base_ = next_seq_;
-  segment_size_ = header.size();
-  stats_.bytes_appended += header.size();
-  ++stats_.segments_created;
-  ++num_segments_;
-  return OkStatus();
+  // Validate by decoding into a scratch interner, so Open has no side
+  // effects on the caller's label space.
+  Interner scratch;
+  SW_ASSIGN_OR_RETURN(
+      std::unique_ptr<SegmentLog> log,
+      SegmentLog::Open(
+          dir, kWalFormat, options, min_seq,
+          [&](std::string_view frame,
+              uint64_t first_seq) -> StatusOr<uint64_t> {
+            SW_ASSIGN_OR_RETURN(
+                const EdgeBatch batch,
+                DecodeRecord(frame, first_seq, options.max_frame_body_bytes,
+                             &scratch));
+            return uint64_t{batch.size()};
+          }));
+  return std::unique_ptr<EdgeLog>(
+      new EdgeLog(std::move(log), interner, options.max_frame_body_bytes));
 }
 
 Status EdgeLog::Append(const EdgeBatch& batch) {
   if (batch.empty()) return OkStatus();
-  if (broken_) {
-    return Status::IoError(
-        "WAL poisoned: an earlier failed append could not be rolled "
-        "back, so further appends would land after torn bytes and be "
-        "silently dropped by replay");
+  SW_ASSIGN_OR_RETURN(std::string frame, EncodeFeedFrame(batch, *interner_));
+  if (frame.size() - kFeedFrameHeaderBytes <= max_frame_body_bytes_) {
+    return log_->Append(frame, batch.size());
   }
-  if (!fd_.valid() || segment_size_ >= options_.segment_bytes) {
-    if (fd_.valid()) {
-      // Seal the outgoing segment: its bytes must be durable before the
-      // successor exists, or replay could see a gap.
-      SW_RETURN_IF_ERROR(Sync());
-    }
-    SW_RETURN_IF_ERROR(OpenNewSegment());
+  // A giant in-process batch: replay decodes each record under
+  // max_frame_body_bytes, so it is logged as several records that fit —
+  // all or none of them, since the whole feed succeeds or fails.
+  std::vector<Chunk> chunks;
+  SW_RETURN_IF_ERROR(SplitToFit(batch, std::move(frame), *interner_,
+                                max_frame_body_bytes_, &chunks));
+  std::vector<SegmentLog::Record> records;
+  records.reserve(chunks.size());
+  for (const Chunk& chunk : chunks) {
+    records.push_back({chunk.frame, chunk.edges});
   }
-  SW_ASSIGN_OR_RETURN(const std::string frame,
-                      EncodeFeedFrame(batch, *interner_));
-  // Replay decodes each record under max_frame_body_bytes; a record
-  // written past that bound would be ACKed today and poison the whole
-  // directory on the next restart (valid CRC, so no torn-tail tolerance
-  // applies — just DataLoss forever). A giant in-process batch is
-  // split instead; a single edge always fits (three u16-bounded labels
-  // cap a one-edge frame far below any sane limit).
-  if (frame.size() - kFeedFrameHeaderBytes > options_.max_frame_body_bytes) {
-    if (batch.size() <= 1) {
-      return Status::InvalidArgument(
-          StrCat("one-edge WAL record of ", frame.size(),
-                 " bytes exceeds max_frame_body_bytes (",
-                 options_.max_frame_body_bytes,
-                 "); raise the limit — replay would reject the record"));
-    }
-    return AppendSplit(batch);
-  }
-  // One buffer: [len u32][crc u32][first_seq u64][frame...], the length
-  // and CRC patched over their placeholders once the payload is in
-  // place — this runs per Feed on the durable ingest path, so redundant
-  // copies of the edge bytes would show up.
-  std::string record;
-  record.reserve(kRecordHeaderBytes + 8 + frame.size());
-  PutU32(&record, 0);  // len placeholder
-  PutU32(&record, 0);  // crc placeholder
-  PutU64(&record, next_seq_);
-  record.append(frame);
-  const std::string_view payload =
-      std::string_view(record).substr(kRecordHeaderBytes);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    record[static_cast<size_t>(i)] =
-        static_cast<char>((len >> (8 * i)) & 0xFF);
-    record[static_cast<size_t>(4 + i)] =
-        static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  if (Status written = WriteAll(fd_.get(), record); !written.ok()) {
-    // Roll the partial record back so a later successful append can
-    // never land after torn bytes (replay's tail-truncation would then
-    // silently discard it, ACKed or not). If even the rollback fails,
-    // poison the log: failing every future append loudly beats quietly
-    // losing acknowledged edges.
-    if (::ftruncate(fd_.get(), static_cast<off_t>(segment_size_)) != 0) {
-      broken_ = true;
-    }
-    return written;
-  }
-
-  const size_t pre_record_size = segment_size_;
-  segment_size_ += record.size();
-  next_seq_ += batch.size();
-  ++stats_.records_appended;
-  stats_.edges_appended += batch.size();
-  stats_.bytes_appended += record.size();
-  if (options_.fsync_every_records > 0 &&
-      ++records_since_sync_ >= options_.fsync_every_records) {
-    if (Status synced = Sync(); !synced.ok()) {
-      // The feed is about to be failed, so the record must not survive
-      // either: a CRC-valid record for an edge the tenant was told
-      // failed would be applied at recovery, breaking crash
-      // equivalence. Same rollback-or-poison discipline as a failed
-      // write.
-      if (::ftruncate(fd_.get(),
-                      static_cast<off_t>(pre_record_size)) == 0) {
-        segment_size_ = pre_record_size;
-        next_seq_ -= batch.size();
-        --stats_.records_appended;
-        stats_.edges_appended -= batch.size();
-        stats_.bytes_appended -= record.size();
-      } else {
-        broken_ = true;
-      }
-      return synced;
-    }
-  }
-  return OkStatus();
+  return log_->Append(records);
 }
 
-Status EdgeLog::AppendSplit(const EdgeBatch& batch) {
-  // Checkpoint the whole log position: the halves may rotate into fresh
-  // segments, and a later half failing after an earlier one succeeded
-  // must not leave a durable record for edges whose feed is being
-  // failed (replay would apply them, diverging from the live engine).
-  const uint64_t cp_base = current_segment_base_;
-  const size_t cp_size = segment_size_;
-  const uint64_t cp_seq = next_seq_;
-  const uint64_t cp_segments = num_segments_;
-  const EdgeLogStats cp_stats = stats_;
-  const bool cp_had_fd = fd_.valid();
-
-  const size_t half = batch.size() / 2;
-  Status status = Append(
-      EdgeBatch(batch.begin(), batch.begin() + static_cast<ptrdiff_t>(half)));
-  if (status.ok()) {
-    status = Append(EdgeBatch(batch.begin() + static_cast<ptrdiff_t>(half),
-                              batch.end()));
-  }
-  if (status.ok() || next_seq_ == cp_seq) return status;
-
-  // Partial failure: unwind to the checkpoint — delete segments the
-  // split created, truncate the checkpoint segment back, restore the
-  // cursor — or poison if the unwind itself fails.
-  const auto poison = [&] {
-    broken_ = true;
-    return status;
-  };
-  auto segments = ListSegments(dir_);
-  if (!segments.ok()) return poison();
-  for (const auto& [base, path] : segments.value()) {
-    // Created by the split = past the checkpoint segment (or, when no
-    // segment was open at the checkpoint, at/past the checkpoint seq).
-    const bool created_by_split =
-        cp_had_fd ? base > cp_base : base >= cp_seq;
-    if (!created_by_split) continue;
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    if (ec) return poison();
-  }
-  if (cp_had_fd) {
-    const std::filesystem::path cp_path =
-        std::filesystem::path(dir_) / SegmentName(cp_base);
-    const int fd = ::open(cp_path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (fd < 0) return poison();
-    fd_.reset(fd);
-    if (::ftruncate(fd_.get(), static_cast<off_t>(cp_size)) != 0) {
-      return poison();
-    }
-  } else {
-    fd_.reset();
-  }
-  current_segment_base_ = cp_base;
-  segment_size_ = cp_size;
-  next_seq_ = cp_seq;
-  num_segments_ = cp_segments;
-  stats_ = cp_stats;
-  return status;
-}
-
-Status EdgeLog::Sync() {
-  if (!fd_.valid()) return OkStatus();
-  if (::fsync(fd_.get()) != 0) {
-    // A failed fsync may have marked dirty pages clean (the Linux
-    // fsync-gate problem): earlier cadence-ACKed records can now be
-    // lost by a machine crash even though a *retry* would report
-    // success. Nothing short of a restart (which re-reads the durable
-    // truth) makes this log trustworthy again — poison it.
-    broken_ = true;
-    return Status::IoError(StrCat("WAL fsync failed: ",
-                                  std::strerror(errno)));
-  }
-  records_since_sync_ = 0;
-  ++stats_.fsyncs;
-  return OkStatus();
-}
-
-StatusOr<int> EdgeLog::PruneSegmentsBelow(uint64_t seq) {
-  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir_));
-  int deleted = 0;
-  // Segment i holds edges [base_i, base_{i+1}); it is fully covered by a
-  // snapshot at `seq` iff its successor's base is <= seq. The last
-  // segment always survives (it is open for append).
-  for (size_t i = 0; i + 1 < segments.size(); ++i) {
-    if (segments[i + 1].first > seq) break;
-    std::error_code ec;
-    std::filesystem::remove(segments[i].second, ec);
-    if (ec) {
-      return Status::IoError("cannot prune WAL segment " +
-                             segments[i].second.string() + ": " +
-                             ec.message());
-    }
-    ++deleted;
-    --num_segments_;
-  }
-  return deleted;
+EdgeLogStats EdgeLog::stats() const {
+  const SegmentLogStats& s = log_->stats();
+  EdgeLogStats stats;
+  stats.records_appended = s.records_appended;
+  stats.edges_appended = s.seqs_appended;
+  stats.bytes_appended = s.bytes_appended;
+  stats.fsyncs = s.fsyncs;
+  stats.segments_created = s.segments_created;
+  return stats;
 }
 
 StatusOr<EdgeLog::ReplayStats> EdgeLog::Replay(const std::string& dir,
@@ -464,73 +115,34 @@ StatusOr<EdgeLog::ReplayStats> EdgeLog::Replay(const std::string& dir,
                                                const ReplayFn& fn,
                                                EdgeLogOptions options) {
   ReplayStats stats;
-  stats.next_seq = from_seq;
-  std::error_code ec;
-  if (!std::filesystem::exists(dir, ec)) return stats;
-  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir));
-  if (segments.empty()) return stats;
-
-  uint64_t replayed = 0;
-  const ReplayFn counted = [&](const EdgeBatch& batch, uint64_t first_seq) {
-    replayed += batch.size();
-    fn(batch, first_seq);
-  };
-  // End of the previous *scanned* segment: consecutive scanned segments
-  // must be seamless, or a lost/deleted sealed segment in the middle
-  // would silently swallow its edges. (Skipped segments sit wholly below
-  // from_seq — a gap after one is below from_seq too, hence harmless.)
-  std::optional<uint64_t> prev_end;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    const auto& [base, path] = segments[i];
-    const bool last = i + 1 == segments.size();
-    // A whole segment below from_seq is already covered by the snapshot;
-    // skip the decode (its successor's base bounds its content).
-    if (!last && segments[i + 1].first <= from_seq) continue;
-    if (prev_end.has_value() && base != *prev_end) {
-      return Status::DataLoss(
-          StrCat(path.string(), ": WAL gap — previous segment ends at ",
-                 *prev_end, " but this one starts at ", base));
-    }
-    // The first scanned segment must reach back to from_seq: pruning
-    // always keeps the segment containing the snapshot stamp, so a
-    // first base beyond from_seq means records in [from_seq, base) are
-    // simply gone.
-    if (!prev_end.has_value() && base > from_seq) {
-      return Status::DataLoss(
-          StrCat(path.string(), ": WAL starts at ", base,
-                 " but replay needs records from ", from_seq));
-    }
-
-    SW_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-    auto base_or = CheckSegmentHeader(bytes, path.string());
-    if (!base_or.ok() || base_or.value() != base) {
-      if (last) {
-        // A crash can tear even the header of a freshly rotated segment;
-        // everything before it already replayed.
-        stats.tail_truncated = true;
-        break;
-      }
-      return base_or.ok()
-                 ? Status::DataLoss(path.string() +
-                                    ": filename and header disagree")
-                 : base_or.status();
-    }
-    auto scan_or = ScanSegment(bytes, base, from_seq, interner,
-                               options.max_frame_body_bytes, &counted,
-                               path.string());
-    SW_RETURN_IF_ERROR(scan_or.status());
-    const SegmentScan& scan = scan_or.value();
-    if (scan.tail_truncated) {
-      if (!last) {
-        return Status::DataLoss(path.string() +
-                                ": torn record in a sealed WAL segment");
-      }
-      stats.tail_truncated = true;
-    }
-    prev_end = scan.next_seq;
-    stats.next_seq = std::max(stats.next_seq, scan.next_seq);
-  }
-  stats.edges_replayed = replayed;
+  SW_ASSIGN_OR_RETURN(
+      const SegmentLog::ReplayStats scanned,
+      SegmentLog::Replay(
+          dir, kWalFormat, from_seq,
+          [&](std::string_view frame,
+              uint64_t first_seq) -> StatusOr<uint64_t> {
+            SW_ASSIGN_OR_RETURN(
+                EdgeBatch batch,
+                DecodeRecord(frame, first_seq, options.max_frame_body_bytes,
+                             interner));
+            const uint64_t span = batch.size();
+            // Wholly below from_seq: covered by the snapshot.
+            if (batch.empty() || first_seq + span <= from_seq) return span;
+            if (first_seq < from_seq) {
+              // The record straddles the snapshot stamp: deliver only the
+              // tail.
+              batch.erase(batch.begin(),
+                          batch.begin() +
+                              static_cast<ptrdiff_t>(from_seq - first_seq));
+              first_seq = from_seq;
+            }
+            stats.edges_replayed += batch.size();
+            SW_RETURN_IF_ERROR(fn(batch, first_seq));
+            return span;
+          },
+          options));
+  stats.next_seq = scanned.next_seq;
+  stats.tail_truncated = scanned.tail_truncated;
   return stats;
 }
 

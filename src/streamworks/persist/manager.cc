@@ -74,44 +74,36 @@ StatusOr<RecoveryReport> DurabilityManager::Start() {
   log_options.fsync_every_records = options_.fsync_every_records;
   EdgeBatch pending;
   pending.reserve(options_.replay_batch_edges);
-  Status replay_failure = OkStatus();
-  const auto flush_pending = [&] {
-    if (pending.empty()) return;
+  const auto flush_pending = [&]() -> Status {
+    if (pending.empty()) return OkStatus();
     const Status applied = backend_->FeedBatch(pending, nullptr);
+    pending.clear();
     // InvalidArgument is the one benign outcome: the WAL logs before
     // apply, so edges the crashed incarnation rejected (time
     // regressions, label clashes) are in the log and re-reject here by
     // design. Anything else means the backend failed to apply state the
     // log promised — recovery must fail loudly, not report success over
     // a diverged window.
-    if (!applied.ok() &&
-        applied.code() != StatusCode::kInvalidArgument &&
-        replay_failure.ok()) {
-      replay_failure = applied;
-    }
-    pending.clear();
+    return applied.code() == StatusCode::kInvalidArgument ? OkStatus()
+                                                          : applied;
   };
   auto replayed = EdgeLog::Replay(
       options_.data_dir, from_seq, interner_,
-      [&](const EdgeBatch& batch, uint64_t) {
+      [&](const EdgeBatch& batch, uint64_t) -> Status {
         for (const StreamEdge& e : batch) {
           pending.push_back(e);
           if (pending.size() >= options_.replay_batch_edges) {
-            flush_pending();
+            SW_RETURN_IF_ERROR(flush_pending());
           }
         }
+        return OkStatus();
       },
       log_options);
-  if (!replayed.ok()) {
-    backend_->SetSuppressCompletions(false);
-    backend_->set_logging_enabled(true);
-    return replayed.status();
-  }
-  flush_pending();
-  backend_->Flush();
+  Status replay_status = replayed.ok() ? flush_pending() : replayed.status();
+  if (replay_status.ok()) backend_->Flush();
   backend_->SetSuppressCompletions(false);
   backend_->set_logging_enabled(true);
-  SW_RETURN_IF_ERROR(replay_failure);
+  SW_RETURN_IF_ERROR(replay_status);
   recovery_.replayed_edges = replayed->edges_replayed;
   recovery_.wal_tail_truncated = replayed->tail_truncated;
 

@@ -32,8 +32,8 @@ namespace streamworks {
 ///
 /// A subset of the frame types is *state-bearing*: applying one mutates a
 /// worker's engine. Workers assign those frames a dense sequence number
-/// in arrival order and write each to a FrameLog before applying it, so
-/// a crashed worker rebuilds by replaying its log and asking the
+/// in arrival order and write each to their frame log before applying
+/// it, so a crashed worker rebuilds by replaying its log and asking the
 /// coordinator only for the suffix it never saw (see cluster/worker.h
 /// for the recovery contract).
 inline constexpr char kCtrlFrameMagic[4] = {'\xFC', 'C', 'T', '1'};

@@ -1,13 +1,17 @@
-// Tests for streamworks/persist: the write-ahead EdgeLog (framing, CRC,
-// rotation, torn-tail tolerance, pruning), snapshot encode/decode with
+// Tests for streamworks/persist: the segment log under both of its record
+// kinds — the write-ahead EdgeLog and a cluster worker's frame log —
+// (framing, CRC, rotation, torn-tail tolerance, pruning, atomic appends,
+// bytes pinned to the on-disk format), snapshot encode/decode with
 // corruption fallback, and full crash-recovery equivalence — a killed
 // service restarted from its data dir must produce exactly the match
 // multiset of an uninterrupted run, for the single-engine and the
 // vertex-partitioned backends alike.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +19,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "streamworks/common/binio.h"
@@ -25,10 +30,13 @@
 #include "streamworks/persist/crc32.h"
 #include "streamworks/persist/durable_backend.h"
 #include "streamworks/persist/edge_log.h"
+#include "streamworks/persist/fs_util.h"
 #include "streamworks/persist/manager.h"
+#include "streamworks/persist/segment_log.h"
 #include "streamworks/persist/snapshot.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/service/query_service.h"
+#include "streamworks/stream/cluster_wire.h"
 
 namespace streamworks {
 namespace {
@@ -124,6 +132,7 @@ TEST(EdgeLogTest, AppendReplayRoundTrip) {
                    [&](const EdgeBatch& batch, uint64_t first_seq) {
                      seen.emplace_back(first_seq, batch.size());
                      all.insert(all.end(), batch.begin(), batch.end());
+                     return OkStatus();
                    })
                    .value();
   EXPECT_EQ(stats.edges_replayed, 5u);
@@ -151,6 +160,7 @@ TEST(EdgeLogTest, ReplayFromMidRecordTrimsTheStraddler) {
                       [&](const EdgeBatch& batch, uint64_t first_seq) {
                         EXPECT_GE(first_seq, 2u);
                         all.insert(all.end(), batch.begin(), batch.end());
+                        return OkStatus();
                       })
           .value();
   EXPECT_EQ(stats.edges_replayed, 4u);  // edges 2,3 of record 1 + record 2
@@ -176,6 +186,7 @@ TEST(EdgeLogTest, RotationSplitsSegmentsAndPrunes) {
   auto stats = EdgeLog::Replay(dir, 0, &replay_side,
                                [&](const EdgeBatch& batch, uint64_t) {
                                  replayed += batch.size();
+                                 return OkStatus();
                                })
                    .value();
   EXPECT_EQ(replayed, appended);
@@ -195,6 +206,7 @@ TEST(EdgeLogTest, RotationSplitsSegmentsAndPrunes) {
                   [&](const EdgeBatch& batch, uint64_t first_seq) {
                     tail += batch.size();
                     min_seq = std::min(min_seq, first_seq);
+                    return OkStatus();
                   })
       .value();
   EXPECT_EQ(tail, appended - 12);
@@ -219,6 +231,7 @@ TEST(EdgeLogTest, TornTailIsToleratedAndTruncatedOnReopen) {
   auto stats = EdgeLog::Replay(dir, 0, &interner,
                                [&](const EdgeBatch& batch, uint64_t) {
                                  replayed += batch.size();
+                                 return OkStatus();
                                })
                    .value();
   EXPECT_EQ(replayed, 3u);  // first record survives, torn one dropped
@@ -235,6 +248,7 @@ TEST(EdgeLogTest, TornTailIsToleratedAndTruncatedOnReopen) {
   stats = EdgeLog::Replay(dir, 0, &interner,
                           [&](const EdgeBatch& batch, uint64_t) {
                             replayed += batch.size();
+                            return OkStatus();
                           })
               .value();
   EXPECT_EQ(replayed, 5u);
@@ -262,6 +276,7 @@ TEST(EdgeLogTest, CrcCorruptionStopsReplayAtTheTear) {
   auto stats = EdgeLog::Replay(dir, 0, &interner,
                                [&](const EdgeBatch& batch, uint64_t) {
                                  replayed += batch.size();
+                                 return OkStatus();
                                })
                    .value();
   EXPECT_EQ(replayed, 2u);
@@ -284,7 +299,9 @@ TEST(EdgeLogTest, CorruptionInASealedSegmentIsDataLoss) {
   CorruptFileByte(first, fs::file_size(first) - 3);
 
   auto replay = EdgeLog::Replay(dir, 0, &interner,
-                                [](const EdgeBatch&, uint64_t) {});
+                                [](const EdgeBatch&, uint64_t) {
+                                  return OkStatus();
+                                });
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
 }
@@ -314,6 +331,7 @@ TEST(EdgeLogTest, TornHeaderOfTheLastSegmentNeverWedgesReopen) {
   auto stats = EdgeLog::Replay(dir, 0, &interner,
                                [&](const EdgeBatch& batch, uint64_t) {
                                  replayed += batch.size();
+                                 return OkStatus();
                                },
                                options)
                    .value();
@@ -329,6 +347,7 @@ TEST(EdgeLogTest, TornHeaderOfTheLastSegmentNeverWedgesReopen) {
   EdgeLog::Replay(dir, 0, &interner,
                   [&](const EdgeBatch& batch, uint64_t) {
                     replayed += batch.size();
+                    return OkStatus();
                   },
                   options)
       .value();
@@ -349,7 +368,9 @@ TEST(EdgeLogTest, MissingMiddleSegmentIsDataLossNotSilence) {
   // Lose the middle sealed segment (operator mishap, partial restore).
   fs::remove(fs::path(dir) / "wal-0000000000000002.log");
   auto replay = EdgeLog::Replay(dir, 0, &interner,
-                                [](const EdgeBatch&, uint64_t) {},
+                                [](const EdgeBatch&, uint64_t) {
+                                  return OkStatus();
+                                },
                                 options);
   ASSERT_FALSE(replay.ok());
   EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
@@ -389,6 +410,7 @@ TEST(EdgeLogTest, OversizedBatchesAreChunkedToStayReplayable) {
   auto stats = EdgeLog::Replay(dir, 0, &interner,
                                [&](const EdgeBatch& batch, uint64_t) {
                                  replayed += batch.size();
+                                 return OkStatus();
                                },
                                options)
                    .value();
@@ -410,9 +432,468 @@ TEST(EdgeLogTest, OpenFastForwardsPastAPrunedOrLostWal) {
   }
   uint64_t first = 0;
   EdgeLog::Replay(dir, 40, &interner,
-                  [&](const EdgeBatch&, uint64_t seq) { first = seq; })
+                  [&](const EdgeBatch&, uint64_t seq) {
+                    first = seq;
+                    return OkStatus();
+                  })
       .value();
   EXPECT_EQ(first, 40u);
+}
+
+// --- SegmentLog: the segment mechanics over both record kinds --------------
+
+struct Replayed {
+  uint64_t seqs = 0;             ///< Sequence numbers delivered.
+  uint64_t first = UINT64_MAX;   ///< Lowest first_seq delivered.
+  uint64_t next_seq = 0;
+  bool tail_truncated = false;
+};
+
+/// The WAL kind, driven through its EdgeLog adapter: each record is a
+/// FEEDB frame of kSpan edges.
+struct WalKind {
+  static constexpr std::string_view kPrefix = "wal-";
+  static constexpr uint64_t kSpan = 2;
+
+  StatusOr<std::unique_ptr<EdgeLog>> Open(const std::string& dir,
+                                          SegmentLogOptions options = {},
+                                          uint64_t min_seq = 0) {
+    return EdgeLog::Open(dir, &interner, options, min_seq);
+  }
+  /// Appends one record.
+  Status Append(EdgeLog* log) {
+    return log->Append(SomeBatch(&interner, kSpan, 10 * appended++));
+  }
+  /// Appends two records in one atomic call: a batch too big for one
+  /// frame under a 100-byte body bound, split in halves.
+  Status AppendPair(EdgeLog* log) {
+    return log->Append(SomeBatch(&interner, 2 * kSpan, 10 * appended++));
+  }
+  StatusOr<Replayed> Replay(const std::string& dir, uint64_t from_seq) {
+    Replayed r;
+    Interner replay_side;
+    SW_ASSIGN_OR_RETURN(
+        const EdgeLog::ReplayStats stats,
+        EdgeLog::Replay(dir, from_seq, &replay_side,
+                        [&](const EdgeBatch& batch, uint64_t first_seq) {
+                          r.seqs += batch.size();
+                          r.first = std::min(r.first, first_seq);
+                          return OkStatus();
+                        }));
+    r.next_seq = stats.next_seq;
+    r.tail_truncated = stats.tail_truncated;
+    return r;
+  }
+
+  Interner interner;
+  int appended = 0;
+};
+
+/// The frame-log kind, driven through SegmentLog directly: each record is
+/// a control frame spanning one sequence number.
+struct FrameKind {
+  static constexpr std::string_view kPrefix = "frames-";
+  static constexpr uint64_t kSpan = 1;
+
+  StatusOr<std::unique_ptr<SegmentLog>> Open(const std::string& dir,
+                                             SegmentLogOptions options = {},
+                                             uint64_t min_seq = 0) {
+    return SegmentLog::Open(dir, kFrameLogFormat, options, min_seq);
+  }
+  Status Append(SegmentLog* log) { return log->Append(NextFrame()); }
+  Status AppendPair(SegmentLog* log) {
+    const std::string a = NextFrame();
+    const std::string b = NextFrame();
+    const SegmentLog::Record records[] = {{a, 1}, {b, 1}};
+    return log->Append(records);
+  }
+  StatusOr<Replayed> Replay(const std::string& dir, uint64_t from_seq) {
+    Replayed r;
+    SW_ASSIGN_OR_RETURN(
+        const SegmentLog::ReplayStats stats,
+        SegmentLog::Replay(
+            dir, kFrameLogFormat, from_seq,
+            [&](std::string_view frame,
+                uint64_t seq) -> StatusOr<uint64_t> {
+              Interner interner;
+              const CtrlDecodeResult decoded = DecodeCtrlFrame(
+                  frame, kDefaultMaxFrameBodyBytes, &interner);
+              if (decoded.status != FrameDecodeStatus::kOk) {
+                return Status::DataLoss("undecodable test frame");
+              }
+              if (seq >= from_seq) {
+                ++r.seqs;
+                r.first = std::min(r.first, seq);
+              }
+              return uint64_t{1};
+            }));
+    r.next_seq = stats.next_seq;
+    r.tail_truncated = stats.tail_truncated;
+    return r;
+  }
+
+  std::string NextFrame() {
+    CtrlCommit commit;
+    commit.watermark = appended++;
+    return EncodeCommitFrame(commit);
+  }
+  int appended = 0;
+};
+
+template <typename Kind>
+class SegmentLogTest : public ::testing::Test {
+ protected:
+  std::string Dir(std::string_view name) {
+    return TempDir(std::string(Kind::kPrefix) + std::string(name));
+  }
+  std::string Segment(const std::string& dir, uint64_t base) {
+    return (fs::path(dir) / SeqFileName(Kind::kPrefix, base, ".log"))
+        .string();
+  }
+  Replayed ReplayOk(const std::string& dir, uint64_t from_seq = 0) {
+    auto replayed = kind.Replay(dir, from_seq);
+    EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+    return replayed.ok() ? replayed.value() : Replayed{};
+  }
+  /// Every record in its own segment.
+  static SegmentLogOptions Rotating() {
+    SegmentLogOptions options;
+    options.segment_bytes = 1;
+    return options;
+  }
+
+  static constexpr uint64_t kSpan = Kind::kSpan;
+  Kind kind;
+};
+
+class KindName {
+ public:
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, WalKind> ? "Wal" : "FrameLog";
+  }
+};
+
+using LogKinds = ::testing::Types<WalKind, FrameKind>;
+TYPED_TEST_SUITE(SegmentLogTest, LogKinds, KindName);
+
+TYPED_TEST(SegmentLogTest, RotationSplitsSegmentsAndPrunes) {
+  const std::string dir = this->Dir("rotate");
+  const uint64_t span = this->kSpan;
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(this->kind.Append(log.get()).ok());
+    EXPECT_EQ(log->num_segments(), 8u);
+  }
+  Replayed all = this->ReplayOk(dir);
+  EXPECT_EQ(all.seqs, 8 * span);
+  EXPECT_EQ(all.next_seq, 8 * span);
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    EXPECT_EQ(log->next_seq(), 8 * span);
+    // Segments 0..2 hold only sequence numbers below 3 * span.
+    EXPECT_EQ(log->PruneSegmentsBelow(3 * span).value(), 3);
+    EXPECT_EQ(log->num_segments(), 5u);
+  }
+  EXPECT_FALSE(fs::exists(this->Segment(dir, 2 * span)));
+  Replayed tail = this->ReplayOk(dir, 3 * span);
+  EXPECT_EQ(tail.seqs, 5 * span);
+  EXPECT_EQ(tail.first, 3 * span);
+}
+
+TYPED_TEST(SegmentLogTest, TornTailIsToleratedAndTruncatedOnReopen) {
+  const std::string dir = this->Dir("torn");
+  const uint64_t span = this->kSpan;
+  {
+    auto log = this->kind.Open(dir).value();
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  const std::string segment = this->Segment(dir, 0);
+  fs::resize_file(segment, fs::file_size(segment) - 3);
+  Replayed torn = this->ReplayOk(dir);
+  EXPECT_EQ(torn.seqs, span);
+  EXPECT_EQ(torn.next_seq, span);
+  EXPECT_TRUE(torn.tail_truncated);
+  {
+    auto log = this->kind.Open(dir).value();
+    EXPECT_EQ(log->next_seq(), span);
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  Replayed healed = this->ReplayOk(dir);
+  EXPECT_EQ(healed.seqs, 2 * span);
+  EXPECT_FALSE(healed.tail_truncated);
+}
+
+TYPED_TEST(SegmentLogTest, CrcTearStopsReplayAndReopenTruncatesThere) {
+  const std::string dir = this->Dir("crc");
+  const uint64_t span = this->kSpan;
+  {
+    auto log = this->kind.Open(dir).value();
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  // Clobber a byte inside the second record's payload: its CRC fails, so
+  // it and everything after it are the torn tail.
+  const std::string segment = this->Segment(dir, 0);
+  const size_t record_bytes = (fs::file_size(segment) - 20) / 3;
+  CorruptFileByte(segment, 20 + record_bytes + record_bytes / 2);
+  Replayed torn = this->ReplayOk(dir);
+  EXPECT_EQ(torn.seqs, span);
+  EXPECT_TRUE(torn.tail_truncated);
+  auto log = this->kind.Open(dir).value();
+  EXPECT_EQ(log->next_seq(), span);
+  EXPECT_EQ(fs::file_size(segment), 20 + record_bytes);
+}
+
+TYPED_TEST(SegmentLogTest, CorruptionInASealedSegmentIsDataLoss) {
+  const std::string dir = this->Dir("sealed");
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  const std::string first = this->Segment(dir, 0);
+  CorruptFileByte(first, fs::file_size(first) - 3);
+  auto replayed = this->kind.Replay(dir, 0);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
+}
+
+TYPED_TEST(SegmentLogTest, TornHeaderOfTheLastSegmentNeverWedgesReopen) {
+  const std::string dir = this->Dir("torn_header");
+  const uint64_t span = this->kSpan;
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  // A crash inside segment creation: the last header never fully landed.
+  fs::resize_file(this->Segment(dir, span), 7);
+  Replayed torn = this->ReplayOk(dir);
+  EXPECT_EQ(torn.seqs, span);
+  EXPECT_TRUE(torn.tail_truncated);
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    EXPECT_EQ(log->next_seq(), span);
+    EXPECT_EQ(log->num_segments(), 1u);
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  EXPECT_EQ(this->ReplayOk(dir).seqs, 2 * span);
+}
+
+TYPED_TEST(SegmentLogTest, MissingMiddleSegmentIsDataLoss) {
+  const std::string dir = this->Dir("gap");
+  {
+    auto log = this->kind.Open(dir, this->Rotating()).value();
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  fs::remove(this->Segment(dir, this->kSpan));
+  auto replayed = this->kind.Replay(dir, 0);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(replayed.status().message().find(" gap "), std::string::npos);
+}
+
+TYPED_TEST(SegmentLogTest, SecondWriterIsRefused) {
+  const std::string dir = this->Dir("lock");
+  auto first = this->kind.Open(dir).value();
+  ASSERT_TRUE(this->kind.Append(first.get()).ok());
+  auto second = this->kind.Open(dir);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  first.reset();
+  EXPECT_TRUE(this->kind.Open(dir).ok());
+}
+
+TYPED_TEST(SegmentLogTest, OpenFastForwardsPastAPrunedOrLostLog) {
+  const std::string dir = this->Dir("ff");
+  const uint64_t span = this->kSpan;
+  {
+    auto log = this->kind.Open(dir).value();
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  }
+  {
+    auto log = this->kind.Open(dir, {}, /*min_seq=*/40).value();
+    EXPECT_EQ(log->next_seq(), 40u);
+    ASSERT_TRUE(this->kind.Append(log.get()).ok());
+    EXPECT_EQ(log->next_seq(), 40 + span);
+  }
+  EXPECT_TRUE(fs::exists(this->Segment(dir, 40)));
+  Replayed tail = this->ReplayOk(dir, 40);
+  EXPECT_EQ(tail.first, 40u);
+  EXPECT_EQ(tail.seqs, span);
+}
+
+/// Makes writes past `bytes` fail with EFBIG for the guard's lifetime
+/// (SIGXFSZ ignored), the way a full disk fails them.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(uint64_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit = saved_;
+    limit.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+TYPED_TEST(SegmentLogTest, FailedMultiRecordAppendRollsBackWholly) {
+  const std::string dir = this->Dir("atomic");
+  const uint64_t span = this->kSpan;
+  SegmentLogOptions options;
+  options.max_frame_body_bytes = 100;
+  auto log = this->kind.Open(dir, options).value();
+  ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  const std::string segment = this->Segment(dir, 0);
+  const uint64_t one_record = fs::file_size(segment);
+  const uint64_t record_bytes = one_record - 20;
+  {
+    // Room for the pair's first record and half of its second.
+    FileSizeLimit limit(one_record + record_bytes + record_bytes / 2);
+    EXPECT_FALSE(this->kind.AppendPair(log.get()).ok());
+  }
+  EXPECT_EQ(log->next_seq(), span);
+  EXPECT_EQ(fs::file_size(segment), one_record);
+  ASSERT_TRUE(this->kind.AppendPair(log.get()).ok());
+  EXPECT_EQ(log->next_seq(), 3 * span);
+  EXPECT_EQ(log->stats().records_appended, 3u);
+  Replayed all = this->ReplayOk(dir);
+  EXPECT_EQ(all.seqs, 3 * span);
+  EXPECT_FALSE(all.tail_truncated);
+}
+
+TYPED_TEST(SegmentLogTest, FailedAppendAfterRotationStaysAppendable) {
+  const std::string dir = this->Dir("atomic_rotate");
+  const uint64_t span = this->kSpan;
+  SegmentLogOptions options = this->Rotating();
+  options.max_frame_body_bytes = 100;
+  auto log = this->kind.Open(dir, options).value();
+  ASSERT_TRUE(this->kind.Append(log.get()).ok());
+  const uint64_t record_bytes = fs::file_size(this->Segment(dir, 0)) - 20;
+  {
+    // The next segment's header lands; its first record does not.
+    FileSizeLimit limit(20 + record_bytes / 2);
+    EXPECT_FALSE(this->kind.AppendPair(log.get()).ok());
+  }
+  EXPECT_EQ(log->next_seq(), span);
+  EXPECT_EQ(fs::file_size(this->Segment(dir, span)), 20u);
+  // The record-less segment takes the retry instead of rotating again
+  // (its successor would need its very name).
+  ASSERT_TRUE(this->kind.AppendPair(log.get()).ok());
+  EXPECT_EQ(log->num_segments(), 2u);
+  log.reset();
+  Replayed all = this->ReplayOk(dir);
+  EXPECT_EQ(all.seqs, 3 * span);
+  EXPECT_FALSE(all.tail_truncated);
+  EXPECT_EQ(this->kind.Open(dir, options).value()->next_seq(), 3 * span);
+}
+
+// --- Golden segment bytes ---------------------------------------------------
+// One small segment per record kind, byte for byte. Existing data dirs
+// must keep recovering, so these bytes may never change.
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+constexpr std::string_view kGoldenWalSegment =
+    "53574c31010000000000000000000000f2c2b43276000000178ad96c00000000"
+    "00000000fb46423166000000040000000400486f7374040070696e6702004970"
+    "0400706f6e670200000001000000000000000200000000000000000000000000"
+    "0000010000000500000000000000020000000000000003000000000000000000"
+    "0000020000000300000006000000000000004c0000006fedf8f3020000000000"
+    "0000fb4642313c00000003000000020049700400486f7374040070696e670100"
+    "0000030000000000000001000000000000000000000001000000020000000700"
+    "000000000000";
+
+constexpr std::string_view kGoldenFrameLogSegment =
+    "53574631010000000000000000000000691883e01900000075ef13fa00000000"
+    "00000000fc435431090000000b2a0000000000000011000000ed0b2fcc010000"
+    "0000000000fc4354310100000005";
+
+TEST(SegmentLogGoldenTest, WalSegmentBytesAreStable) {
+  const std::string dir = TempDir("golden_wal");
+  Interner interner;
+  {
+    auto log = EdgeLog::Open(dir, &interner).value();
+    ASSERT_TRUE(log->Append({MakeEdge(&interner, 1, 2, "ping", 5, "Host",
+                                      "Host"),
+                             MakeEdge(&interner, 2, 3, "pong", 6, "Host",
+                                      "Ip")})
+                    .ok());
+    ASSERT_TRUE(
+        log->Append({MakeEdge(&interner, 3, 1, "ping", 7, "Ip", "Host")})
+            .ok());
+  }
+  EXPECT_EQ(ReadWhole((fs::path(dir) / "wal-0000000000000000.log").string()),
+            FromHex(kGoldenWalSegment));
+
+  // And a directory holding exactly those bytes recovers.
+  const std::string restored = TempDir("golden_wal_restored");
+  std::ofstream((fs::path(restored) / "wal-0000000000000000.log"),
+                std::ios::binary)
+      << FromHex(kGoldenWalSegment);
+  Interner replay_side;
+  EdgeBatch edges;
+  auto stats = EdgeLog::Replay(restored, 0, &replay_side,
+                               [&](const EdgeBatch& batch, uint64_t) {
+                                 edges.insert(edges.end(), batch.begin(),
+                                              batch.end());
+                                 return OkStatus();
+                               })
+                   .value();
+  EXPECT_EQ(stats.next_seq, 3u);
+  ASSERT_EQ(edges.size(), 3u);
+  EXPECT_EQ(replay_side.Name(edges[1].edge_label), "pong");
+  EXPECT_EQ(replay_side.Name(edges[2].src_label), "Ip");
+  EXPECT_EQ(EdgeLog::Open(restored, &replay_side).value()->next_seq(), 3u);
+}
+
+TEST(SegmentLogGoldenTest, FrameLogSegmentBytesAreStable) {
+  const std::string dir = TempDir("golden_frames");
+  CtrlCommit commit;
+  commit.watermark = 42;
+  {
+    auto log = SegmentLog::Open(dir, kFrameLogFormat).value();
+    ASSERT_TRUE(log->Append(EncodeCommitFrame(commit)).ok());
+    ASSERT_TRUE(log->Append(EncodeEndBackfillFrame()).ok());
+  }
+  EXPECT_EQ(
+      ReadWhole((fs::path(dir) / "frames-0000000000000000.log").string()),
+      FromHex(kGoldenFrameLogSegment));
+
+  const std::string restored = TempDir("golden_frames_restored");
+  std::ofstream((fs::path(restored) / "frames-0000000000000000.log"),
+                std::ios::binary)
+      << FromHex(kGoldenFrameLogSegment);
+  std::vector<std::string> frames;
+  auto stats = SegmentLog::Replay(
+                   restored, kFrameLogFormat, 0,
+                   [&](std::string_view frame,
+                       uint64_t) -> StatusOr<uint64_t> {
+                     frames.emplace_back(frame);
+                     return uint64_t{1};
+                   })
+                   .value();
+  EXPECT_EQ(stats.next_seq, 2u);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], EncodeCommitFrame(commit));
+  EXPECT_EQ(frames[1], EncodeEndBackfillFrame());
+  EXPECT_EQ(SegmentLog::Open(restored, kFrameLogFormat).value()->next_seq(),
+            2u);
 }
 
 // --- Snapshot format -------------------------------------------------------
