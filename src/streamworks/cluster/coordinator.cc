@@ -9,12 +9,6 @@
 
 namespace streamworks {
 
-namespace {
-
-constexpr size_t kMaxExchangeItemsPerFrame = 512;
-
-}  // namespace
-
 StatusOr<std::pair<std::string, int>> ParseHostPort(const std::string& spec) {
   const size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
@@ -42,6 +36,8 @@ DistributedBackend::DistributedBackend(DistributedBackendOptions options,
       interner_(interner),
       partitioner_(options_.partitioner_seed),
       coord_graph_(&wire_interner_),
+      driver_(this, &partitioner_, static_cast<int>(options_.workers.size()),
+              options_.epoch_edges),
       epoch_ring_(options_.epoch_trace_capacity) {}
 
 DistributedBackend::~DistributedBackend() { Stop(); }
@@ -52,31 +48,17 @@ Status DistributedBackend::Start() {
   }
   const int n = static_cast<int>(options_.workers.size());
   workers_.resize(options_.workers.size());
+  batches_.resize(options_.workers.size());
   for (int i = 0; i < n; ++i) {
     WorkerState& w = workers_[static_cast<size_t>(i)];
     SW_ASSIGN_OR_RETURN(auto host_port, ParseHostPort(options_.workers[i]));
     w.host = host_port.first;
     w.port = host_port.second;
-    SW_ASSIGN_OR_RETURN(
-        auto link,
-        PeerLink::ConnectTcpRetry(w.host, w.port, options_.connect_deadline_ms));
-    w.link.emplace(std::move(link));
-    CtrlHello hello;
-    hello.num_shards = n;
-    hello.shard_index = i;
-    hello.partitioner_seed = options_.partitioner_seed;
-    SW_RETURN_IF_ERROR(w.link->SendFrame(EncodeHelloFrame(hello)));
-    auto ack_or = w.link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    SW_RETURN_IF_ERROR(ack_or.status());
-    if (ack_or.value().type != CtrlType::kHelloAck) {
-      return Status::InvalidArgument(
-          StrCat("worker ", i, " answered Hello with frame type ",
-                 static_cast<int>(ack_or.value().type)));
-    }
-    if (ack_or.value().hello_ack.applied_frames != 0) {
+    SW_ASSIGN_OR_RETURN(const uint64_t durable,
+                        Connect(&w, options_.connect_deadline_ms));
+    if (durable != 0) {
       return Status::FailedPrecondition(
-          StrCat("worker ", i, " (", options_.workers[i], ") holds ",
-                 ack_or.value().hello_ack.applied_frames,
+          StrCat("worker ", i, " (", options_.workers[i], ") holds ", durable,
                  " frames of state from a previous cluster run; clear its "
                  "data dir (or point it elsewhere) to join a fresh cluster"));
     }
@@ -125,39 +107,47 @@ std::string_view DistributedBackend::CachedLabelName(LabelId id) {
 }
 
 Status DistributedBackend::SendStateFrame(WorkerState* w, std::string frame) {
-  w->retained.push_back(frame);
+  w->retained.push_back(std::move(frame));
   ++w->sent_state;
-  if (!w->link.has_value() || !w->link->connected()) {
-    return RecoverLink(w);
+  // A recovery resends every retained frame the worker's log lacks, this
+  // one included.
+  if (w->link.has_value() && w->link->connected() &&
+      w->link->SendFrame(w->retained.back()).ok()) {
+    return OkStatus();
   }
-  const Status sent = w->link->SendFrame(frame);
-  if (sent.ok()) return OkStatus();
   return RecoverLink(w);
 }
 
-Status DistributedBackend::RecoverLink(WorkerState* w) {
+StatusOr<uint64_t> DistributedBackend::Connect(WorkerState* w,
+                                               int deadline_ms) {
   if (w->link.has_value()) w->link->Close();
   SW_ASSIGN_OR_RETURN(auto link,
-                      PeerLink::ConnectTcpRetry(w->host, w->port,
-                                                options_.reconnect_deadline_ms));
+                      PeerLink::ConnectTcpRetry(w->host, w->port, deadline_ms));
   w->link.emplace(std::move(link));
   CtrlHello hello;
   hello.num_shards = static_cast<int32_t>(workers_.size());
-  hello.shard_index =
-      static_cast<int32_t>(w - workers_.data());
+  hello.shard_index = static_cast<int32_t>(w - workers_.data());
   hello.partitioner_seed = options_.partitioner_seed;
   hello.exchange_items_received = w->exchange_received;
   hello.completions_received = w->completions_received;
   SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeHelloFrame(hello)));
   // The worker replays before answering, then sends HelloAck first and
   // its regenerated-but-undelivered outputs right after — so the ack is
-  // always the first frame on the recovered link.
-  auto ack_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-  SW_RETURN_IF_ERROR(ack_or.status());
-  if (ack_or.value().type != CtrlType::kHelloAck) {
-    return Status::Internal("worker did not answer recovery Hello with ack");
+  // always the first frame on the link.
+  SW_ASSIGN_OR_RETURN(const CtrlFrame ack, w->link->ReadFrame(
+                                               &wire_interner_,
+                                               options_.ack_timeout_ms));
+  if (ack.type != CtrlType::kHelloAck) {
+    return Status::Internal(StrCat("worker ", hello.shard_index,
+                                   " answered Hello with frame type ",
+                                   static_cast<int>(ack.type)));
   }
-  const uint64_t durable = ack_or.value().hello_ack.applied_frames;
+  return ack.hello_ack.applied_frames;
+}
+
+Status DistributedBackend::RecoverLink(WorkerState* w) {
+  SW_ASSIGN_OR_RETURN(const uint64_t durable,
+                      Connect(w, options_.reconnect_deadline_ms));
   if (durable < w->pruned_base || durable > w->sent_state) {
     return Status::Internal(
         StrCat("worker log has ", durable, " frames but coordinator retains [",
@@ -195,18 +185,10 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
       const LabelNameFn name = [this](LabelId id) -> std::string_view {
         return wire_interner_.Name(id);
       };
-      for (auto& [dest, exchange] : by_dest) {
+      for (const auto& [dest, exchange] : by_dest) {
         WorkerState* to = &workers_[static_cast<size_t>(dest)];
-        for (size_t begin = 0; begin < exchange.items.size();
-             begin += kMaxExchangeItemsPerFrame) {
-          const size_t end = std::min(exchange.items.size(),
-                                      begin + kMaxExchangeItemsPerFrame);
-          CtrlExchange chunk;
-          chunk.items.assign(
-              exchange.items.begin() + static_cast<ptrdiff_t>(begin),
-              exchange.items.begin() + static_cast<ptrdiff_t>(end));
-          SW_RETURN_IF_ERROR(
-              SendStateFrame(to, EncodeExchangeFrame(chunk, name)));
+        for (std::string& chunk : EncodeExchangeFrames(exchange.items, name)) {
+          SW_RETURN_IF_ERROR(SendStateFrame(to, std::move(chunk)));
         }
       }
       const uint64_t relay_us = PipelineMetrics::NowMicros() - relay_start;
@@ -245,46 +227,67 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
 }
 
 StatusOr<CtrlFrame> DistributedBackend::AwaitFrame(WorkerState* w,
-                                                   CtrlType type) {
+                                                   CtrlType type,
+                                                   int timeout_ms,
+                                                   const std::string* resend) {
   while (true) {
-    auto frame_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    SW_RETURN_IF_ERROR(frame_or.status());
+    auto frame_or = w->link->ReadFrame(&wire_interner_, timeout_ms);
+    if (!frame_or.ok()) {
+      if (resend == nullptr) return frame_or.status();
+      // Recovery (replay + resend) restores the worker past every state
+      // frame; the lost request is simply asked again.
+      SW_RETURN_IF_ERROR(RecoverLink(w));
+      SW_RETURN_IF_ERROR(w->link->SendFrame(*resend));
+      continue;
+    }
     if (frame_or.value().type == type) return frame_or;
     SW_RETURN_IF_ERROR(HandleWorkerFrame(w, frame_or.value()));
   }
 }
 
-Status DistributedBackend::AwaitBarrierAck(WorkerState* w, uint32_t round) {
-  while (true) {
-    auto frame_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    if (!frame_or.ok()) {
-      // Mid-barrier link failure: recover (replay + resend restores the
-      // worker past this barrier's frames) and re-barrier just this
-      // worker so it flushes and acks again.
-      SW_RETURN_IF_ERROR(RecoverLink(w));
-      CtrlBarrier barrier;
-      barrier.round = round;
-      SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeBarrierFrame(barrier)));
-      continue;
-    }
-    const CtrlFrame& frame = frame_or.value();
-    if (frame.type == CtrlType::kBarrierAck) {
-      if (frame.barrier_ack.round != round) continue;  // stale round
-      // The ack's durable-frame count lets us drop the retained prefix:
-      // those frames survive in the worker's log, so a crash replays
-      // them locally and we will never need to resend them.
-      while (w->pruned_base < frame.barrier_ack.applied_frames &&
-             !w->retained.empty()) {
-        w->retained.pop_front();
-        ++w->pruned_base;
-      }
-      return OkStatus();
-    }
-    SW_RETURN_IF_ERROR(HandleWorkerFrame(w, frame));
+Status DistributedBackend::SendRequest(WorkerState* w,
+                                       const std::string& request) {
+  if (w->link.has_value() && w->link->connected() &&
+      w->link->SendFrame(request).ok()) {
+    return OkStatus();
   }
+  SW_RETURN_IF_ERROR(RecoverLink(w));
+  return w->link->SendFrame(request);
 }
 
-Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
+StatusOr<CtrlFrame> DistributedBackend::Request(WorkerState* w,
+                                                const std::string& request,
+                                                CtrlType reply) {
+  SW_RETURN_IF_ERROR(SendRequest(w, request));
+  return AwaitFrame(w, reply, options_.ack_timeout_ms, &request);
+}
+
+Status DistributedBackend::BroadcastStateFrame(const std::string& frame) {
+  for (WorkerState& w : workers_) {
+    SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
+  }
+  return OkStatus();
+}
+
+void DistributedBackend::RouteEdge(int shard, const StreamEdge& edge,
+                                   EdgeId id, bool run_anchors) {
+  CtrlShardEdge routed;
+  routed.edge = edge;
+  routed.global_id = id;
+  routed.run_anchors = run_anchors;
+  batches_[static_cast<size_t>(shard)].edges.push_back(routed);
+}
+
+Status DistributedBackend::Settle() {
+  const LabelNameFn name = [this](LabelId id) -> std::string_view {
+    return CachedLabelName(id);
+  };
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    if (batches_[i].edges.empty()) continue;
+    std::string frame = EncodeBatchFrame(batches_[i], name);
+    batches_[i].edges.clear();
+    SW_RETURN_IF_ERROR(SendStateFrame(&workers_[i], std::move(frame)));
+  }
   uint64_t before;
   bool first_round = true;
   do {
@@ -296,18 +299,23 @@ Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
     barrier.round = barrier_round_;
     const std::string frame = EncodeBarrierFrame(barrier);
     for (WorkerState& w : workers_) {
-      if (!w.link.has_value() || !w.link->connected()) {
-        SW_RETURN_IF_ERROR(RecoverLink(&w));
-      }
-      const Status sent = w.link->SendFrame(frame);
-      if (!sent.ok()) {
-        SW_RETURN_IF_ERROR(RecoverLink(&w));
-        SW_RETURN_IF_ERROR(w.link->SendFrame(frame));
-      }
+      SW_RETURN_IF_ERROR(SendRequest(&w, frame));
     }
     for (WorkerState& w : workers_) {
       const uint64_t wait_start = PipelineMetrics::NowMicros();
-      SW_RETURN_IF_ERROR(AwaitBarrierAck(&w, barrier_round_));
+      CtrlFrame ack;
+      do {  // acks of an abandoned earlier round may still arrive
+        SW_ASSIGN_OR_RETURN(ack, AwaitFrame(&w, CtrlType::kBarrierAck,
+                                            options_.ack_timeout_ms, &frame));
+      } while (ack.barrier_ack.round != barrier_round_);
+      // The ack's durable-frame count lets us drop the retained prefix:
+      // those frames survive in the worker's log, so a crash replays them
+      // locally and we will never need to resend them.
+      while (w.pruned_base < ack.barrier_ack.applied_frames &&
+             !w.retained.empty()) {
+        w.retained.pop_front();
+        ++w.pruned_base;
+      }
       if (options_.pipeline != nullptr) {
         options_.pipeline->Record(PipelineStage::kBarrierWait,
                                   PipelineMetrics::NowMicros() - wait_start);
@@ -317,42 +325,117 @@ Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
     // if any moved, another round flushes their consequences.
     const uint64_t items_moved = relays_total_ - before;
     if (items_moved > 0) relay_items_per_round_.Record(items_moved);
-    if (phases != nullptr) {
-      const uint64_t round_us = PipelineMetrics::NowMicros() - round_start;
-      // Relay forwarding nests inside the round's ack waits; the
-      // difference of the accumulator carves it out so apply/barrier time
-      // never double-counts it.
-      const uint64_t forward_us =
-          std::min(relay_forward_us_ - forward_before, round_us);
-      phases->relay_us += forward_us;
-      // Round 1's wait is dominated by workers applying the epoch's
-      // batches; later rounds are exchange settle.
-      if (first_round) {
-        phases->apply_us += round_us - forward_us;
-      } else {
-        phases->barrier_us += round_us - forward_us;
-      }
-      if (items_moved > 0) {
-        ++phases->relay_rounds;
-        phases->relayed_items += items_moved;
-      }
+    const uint64_t round_us = PipelineMetrics::NowMicros() - round_start;
+    // Relay forwarding nests inside the round's ack waits; the difference
+    // of the accumulator carves it out so apply/barrier time never
+    // double-counts it.
+    const uint64_t forward_us =
+        std::min(relay_forward_us_ - forward_before, round_us);
+    phases_.relay_us += forward_us;
+    // Round 1's wait is dominated by workers applying the epoch's batches;
+    // later rounds are exchange settle.
+    (first_round ? phases_.apply_us : phases_.barrier_us) +=
+        round_us - forward_us;
+    if (items_moved > 0) {
+      ++phases_.relay_rounds;
+      phases_.relayed_items += items_moved;
     }
     first_round = false;
   } while (relays_total_ != before);
-  if (admission_.watermark() > last_broadcast_watermark_) {
-    const uint64_t commit_start = PipelineMetrics::NowMicros();
-    CtrlCommit commit;
-    commit.watermark = admission_.watermark();
-    const std::string frame = EncodeCommitFrame(commit);
-    for (WorkerState& w : workers_) {
-      SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
+  return OkStatus();
+}
+
+Status DistributedBackend::CommitWatermark(Timestamp watermark) {
+  const uint64_t commit_start = PipelineMetrics::NowMicros();
+  CtrlCommit commit;
+  commit.watermark = watermark;
+  SW_RETURN_IF_ERROR(BroadcastStateFrame(EncodeCommitFrame(commit)));
+  phases_.commit_us += PipelineMetrics::NowMicros() - commit_start;
+  return OkStatus();
+}
+
+Status DistributedBackend::RegisterOnShards(int query_id,
+                                            const QueryGraph& query,
+                                            DecompositionStrategy strategy,
+                                            Timestamp window,
+                                            MatchCallback callback) {
+  CtrlRegister reg;
+  reg.expect_id = query_id;
+  reg.strategy = static_cast<uint8_t>(strategy);
+  reg.window = window;
+  reg.name = query.name();
+  reg.vertex_labels.reserve(static_cast<size_t>(query.num_vertices()));
+  for (int v = 0; v < query.num_vertices(); ++v) {
+    reg.vertex_labels.push_back(interner_->Name(query.vertex_label(v)));
+  }
+  reg.edges.reserve(query.edges().size());
+  for (const QueryEdge& e : query.edges()) {
+    CtrlQueryEdge edge;
+    edge.src = static_cast<uint8_t>(e.src);
+    edge.dst = static_cast<uint8_t>(e.dst);
+    edge.label = interner_->Name(e.label);
+    reg.edges.push_back(std::move(edge));
+  }
+  SW_RETURN_IF_ERROR(BroadcastStateFrame(EncodeRegisterFrame(reg)));
+  // Await every ack: registration is a group decision, and backfill
+  // exchange items interleave with the acks.
+  std::string first_error;
+  for (WorkerState& w : workers_) {
+    SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
+                        AwaitFrame(&w, CtrlType::kRegisterAck,
+                                   options_.ack_timeout_ms));
+    if (!ack.register_ack.ok) {
+      // Deterministic validation failure: every worker refused the same
+      // way, no id was consumed anywhere.
+      if (first_error.empty()) first_error = ack.register_ack.error;
+      continue;
     }
-    last_broadcast_watermark_ = admission_.watermark();
-    if (phases != nullptr) {
-      phases->commit_us += PipelineMetrics::NowMicros() - commit_start;
+    if (ack.register_ack.id != query_id) {
+      return Status::Internal(StrCat("worker assigned query id ",
+                                     ack.register_ack.id,
+                                     ", coordinator expected ", query_id));
     }
   }
+  if (!first_error.empty()) return Status::InvalidArgument(first_error);
+  QueryState state;
+  state.query = query;
+  state.callback = std::move(callback);
+  queries_.emplace(query_id, std::move(state));
   return OkStatus();
+}
+
+Status DistributedBackend::EndBackfill() {
+  return BroadcastStateFrame(EncodeEndBackfillFrame());
+}
+
+Status DistributedBackend::UnregisterOnShards(int query_id) {
+  CtrlUnregister unreg;
+  unreg.query_id = query_id;
+  SW_RETURN_IF_ERROR(BroadcastStateFrame(EncodeUnregisterFrame(unreg)));
+  // Completions still in flight for it are dropped on arrival.
+  queries_.erase(query_id);
+  return OkStatus();
+}
+
+StatusOr<QueryRuntimeInfo> DistributedBackend::ShardInfo(int shard,
+                                                         int query_id) {
+  CtrlInfo info;
+  info.query_id = query_id;
+  SW_ASSIGN_OR_RETURN(CtrlFrame ack,
+                      Request(&workers_[static_cast<size_t>(shard)],
+                              EncodeInfoFrame(info), CtrlType::kInfoAck));
+  if (!ack.info_ack.ok) {
+    return Status::Internal(StrCat("worker ", shard, ": ", ack.info_ack.error));
+  }
+  QueryRuntimeInfo out = std::move(ack.info_ack);
+  return out;
+}
+
+StatusOr<ShardStatsSnapshot> DistributedBackend::ShardStatsAt(int shard) {
+  SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
+                      Request(&workers_[static_cast<size_t>(shard)],
+                              EncodeStatsFrame(), CtrlType::kStatsAck));
+  return ack.stats_ack;
 }
 
 StatusOr<size_t> DistributedBackend::RunEpoch() {
@@ -369,56 +452,36 @@ StatusOr<size_t> DistributedBackend::RunEpoch() {
   if (epoch.empty()) return size_t{0};
   space_cv_.notify_all();
 
-  const uint64_t batch_start = PipelineMetrics::NowMicros();
-  const int n = static_cast<int>(workers_.size());
-  std::vector<CtrlBatch> batches(workers_.size());
+  const uint64_t start_us = PipelineMetrics::NowMicros();
+  phases_ = EpochPhases{};
   for (const StreamEdge& edge : epoch) {
-    const auto route = admission_.Admit(edge, partitioner_, n);
-    if (!route.has_value()) {
-      rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    CtrlShardEdge routed;
-    routed.edge = edge;
-    routed.global_id = route->id;
-    routed.run_anchors = true;  // exactly one endpoint owner anchors
-    batches[static_cast<size_t>(route->src_owner)].edges.push_back(routed);
-    if (route->dst_owner != route->src_owner) {
-      routed.run_anchors = false;
-      batches[static_cast<size_t>(route->dst_owner)].edges.push_back(routed);
-    }
+    SW_RETURN_IF_ERROR(driver_.Ingest(edge));
   }
-  const LabelNameFn name = [this](LabelId id) -> std::string_view {
-    return CachedLabelName(id);
-  };
-  for (int i = 0; i < n; ++i) {
-    if (batches[static_cast<size_t>(i)].edges.empty()) continue;
-    SW_RETURN_IF_ERROR(
-        SendStateFrame(&workers_[static_cast<size_t>(i)],
-                       EncodeBatchFrame(batches[static_cast<size_t>(i)], name)));
-  }
-  const uint64_t batch_us = PipelineMetrics::NowMicros() - batch_start;
-  EpochPhases phases;
-  SW_RETURN_IF_ERROR(BarrierFixpoint(&phases));
+  SW_RETURN_IF_ERROR(driver_.CloseEpoch());
+  const uint64_t end_us = PipelineMetrics::NowMicros();
 
   EpochTraceEntry entry;
   entry.epoch = epoch_ring_.total_pushed() + 1;  // 1-based epoch id
   entry.edges = epoch.size();
-  entry.relay_rounds = phases.relay_rounds;
-  entry.relayed_items = phases.relayed_items;
-  entry.batch_us = batch_us;
-  entry.apply_us = phases.apply_us;
-  entry.relay_us = phases.relay_us;
-  entry.barrier_us = phases.barrier_us;
-  entry.commit_us = phases.commit_us;
-  entry.total_us = PipelineMetrics::NowMicros() - batch_start;
-  entry.at_us = PipelineMetrics::NowMicros();
+  entry.relay_rounds = phases_.relay_rounds;
+  entry.relayed_items = phases_.relayed_items;
+  entry.apply_us = phases_.apply_us;
+  entry.relay_us = phases_.relay_us;
+  entry.barrier_us = phases_.barrier_us;
+  entry.commit_us = phases_.commit_us;
+  entry.total_us = end_us - start_us;
+  // Batch: routing, encoding and shipping — whatever the timed phases
+  // did not cover.
+  const uint64_t timed = phases_.apply_us + phases_.relay_us +
+                         phases_.barrier_us + phases_.commit_us;
+  entry.batch_us = entry.total_us > timed ? entry.total_us - timed : 0;
+  entry.at_us = end_us;
   epoch_ring_.Push(entry);
-  phase_batch_us_.Record(batch_us);
-  phase_apply_us_.Record(phases.apply_us);
-  phase_relay_us_.Record(phases.relay_us);
-  phase_barrier_us_.Record(phases.barrier_us);
-  phase_commit_us_.Record(phases.commit_us);
+  phase_batch_us_.Record(entry.batch_us);
+  phase_apply_us_.Record(phases_.apply_us);
+  phase_relay_us_.Record(phases_.relay_us);
+  phase_barrier_us_.Record(phases_.barrier_us);
+  phase_commit_us_.Record(phases_.commit_us);
   return epoch.size();
 }
 
@@ -455,134 +518,19 @@ StatusOr<int> DistributedBackend::Register(const QueryGraph& query,
   SyncLabelNames();
   std::lock_guard<std::mutex> lock(cluster_mu_);
   SW_RETURN_IF_ERROR(DrainPending());
-
-  CtrlRegister reg;
-  reg.expect_id = next_query_id_;
-  reg.strategy = static_cast<uint8_t>(strategy);
-  reg.window = window;
-  reg.name = query.name();
-  reg.vertex_labels.reserve(static_cast<size_t>(query.num_vertices()));
-  for (int v = 0; v < query.num_vertices(); ++v) {
-    reg.vertex_labels.push_back(interner_->Name(query.vertex_label(v)));
-  }
-  reg.edges.reserve(query.edges().size());
-  for (const QueryEdge& e : query.edges()) {
-    CtrlQueryEdge edge;
-    edge.src = static_cast<uint8_t>(e.src);
-    edge.dst = static_cast<uint8_t>(e.dst);
-    edge.label = interner_->Name(e.label);
-    reg.edges.push_back(std::move(edge));
-  }
-  const std::string frame = EncodeRegisterFrame(reg);
-  for (WorkerState& w : workers_) {
-    SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
-  }
-  // Await every ack before unsuppressing: registration is a group
-  // decision, and backfill exchange items interleave with the acks.
-  std::string first_error;
-  for (WorkerState& w : workers_) {
-    SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
-                        AwaitFrame(&w, CtrlType::kRegisterAck));
-    if (!ack.register_ack.ok) {
-      // Deterministic validation failure: every worker refused the same
-      // way, no id was consumed anywhere.
-      if (first_error.empty()) first_error = ack.register_ack.error;
-      continue;
-    }
-    if (ack.register_ack.id != reg.expect_id) {
-      return Status::Internal(
-          StrCat("worker assigned query id ", ack.register_ack.id,
-                 ", coordinator expected ", reg.expect_id));
-    }
-  }
-  if (!first_error.empty()) {
-    return Status::InvalidArgument(first_error);
-  }
-  // Let the distributed backfill's cross-shard traffic settle, then lift
-  // suppression everywhere: matches that completed before registration
-  // stay unreported, exactly like single-engine mid-stream registration.
-  SW_RETURN_IF_ERROR(BarrierFixpoint());
-  const std::string end_backfill = EncodeEndBackfillFrame();
-  for (WorkerState& w : workers_) {
-    SW_RETURN_IF_ERROR(SendStateFrame(&w, end_backfill));
-  }
-  QueryState state;
-  state.query = query;
-  state.callback = std::move(callback);
-  queries_.emplace(next_query_id_, std::move(state));
-  return next_query_id_++;
+  return driver_.Register(query, strategy, window, std::move(callback));
 }
 
 Status DistributedBackend::Unregister(int query_id) {
   std::lock_guard<std::mutex> lock(cluster_mu_);
   SW_RETURN_IF_ERROR(DrainPending());
-  const auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("query ", query_id, " is not registered"));
-  }
-  // First barrier delivers what already completed; Unregister then stops
-  // the workers; the second barrier flushes any stragglers their acks
-  // pushed out, so after erase no callback can fire.
-  SW_RETURN_IF_ERROR(BarrierFixpoint());
-  CtrlUnregister unreg;
-  unreg.query_id = query_id;
-  const std::string frame = EncodeUnregisterFrame(unreg);
-  for (WorkerState& w : workers_) {
-    SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
-  }
-  SW_RETURN_IF_ERROR(BarrierFixpoint());
-  queries_.erase(it);
-  return OkStatus();
+  return driver_.Unregister(query_id);
 }
 
 StatusOr<QueryRuntimeInfo> DistributedBackend::Info(int query_id) {
   std::lock_guard<std::mutex> lock(cluster_mu_);
   SW_RETURN_IF_ERROR(DrainPending());
-  if (queries_.find(query_id) == queries_.end()) {
-    return Status::NotFound(StrCat("query ", query_id, " is not registered"));
-  }
-  CtrlInfo info;
-  info.query_id = query_id;
-  const std::string frame = EncodeInfoFrame(info);
-  QueryRuntimeInfo out;
-  out.query_id = query_id;
-  const size_t home =
-      static_cast<size_t>(query_id) % workers_.size();
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& w = workers_[i];
-    SW_RETURN_IF_ERROR(w.link->SendFrame(frame));
-    SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
-                        AwaitFrame(&w, CtrlType::kInfoAck));
-    if (!ack.info_ack.ok) {
-      return Status::Internal(StrCat("worker ", i, ": ", ack.info_ack.error));
-    }
-    // Same aggregation as the in-process group: the home shard (where
-    // kComplete items deliver) owns the completion count; live/peak and
-    // per-node counters sum element-wise across the replicated trees.
-    if (i == home) {
-      out.name = ack.info_ack.name;
-      out.window = ack.info_ack.window;
-      out.completions = ack.info_ack.completions;
-    }
-    out.live_partial_matches += ack.info_ack.live_partial_matches;
-    out.peak_partial_matches += ack.info_ack.peak_partial_matches;
-    if (out.nodes.size() < ack.info_ack.nodes.size()) {
-      out.nodes.resize(ack.info_ack.nodes.size());
-    }
-    for (size_t j = 0; j < ack.info_ack.nodes.size(); ++j) {
-      const CtrlNodeRuntime& node = ack.info_ack.nodes[j];
-      SjNodeRuntime& agg = out.nodes[j];
-      agg.node = node.node;
-      agg.is_leaf = node.is_leaf;
-      agg.query_edges = node.query_edges;
-      agg.matches_inserted += node.matches_inserted;
-      agg.probes += node.probes;
-      agg.join_attempts += node.join_attempts;
-      agg.joins_succeeded += node.joins_succeeded;
-      agg.live_partial_matches += node.live_partial_matches;
-    }
-  }
-  return out;
+  return driver_.Info(query_id);
 }
 
 Status DistributedBackend::Feed(const StreamEdge& edge) {
@@ -619,44 +567,25 @@ Status DistributedBackend::FeedBatch(const EdgeBatch& batch,
 
 void DistributedBackend::Flush() {
   std::lock_guard<std::mutex> lock(cluster_mu_);
-  const Status drained = DrainPending();
-  if (!drained.ok()) {
-    std::fprintf(stderr, "coordinator: flush drain failed: %s\n",
-                 drained.ToString().c_str());
-    return;
-  }
-  const Status settled = BarrierFixpoint();
-  if (!settled.ok()) {
-    std::fprintf(stderr, "coordinator: flush barrier failed: %s\n",
-                 settled.ToString().c_str());
+  Status flushed = DrainPending();
+  if (flushed.ok()) flushed = driver_.CloseEpoch();
+  if (!flushed.ok()) {
+    std::fprintf(stderr, "coordinator: flush failed: %s\n",
+                 flushed.ToString().c_str());
   }
 }
 
 std::vector<ShardLoadSnapshot> DistributedBackend::ShardLoads() {
   std::lock_guard<std::mutex> lock(cluster_mu_);
-  if (!DrainPending().ok()) return {};
-  std::vector<ShardLoadSnapshot> out;
-  const std::string frame = EncodeStatsFrame();
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& w = workers_[i];
-    if (!w.link->SendFrame(frame).ok()) continue;
-    auto ack_or = AwaitFrame(&w, CtrlType::kStatsAck);
-    if (!ack_or.ok()) continue;
-    const CtrlStatsAck& stats = ack_or.value().stats_ack;
-    ShardLoadSnapshot snap;
-    snap.shard = static_cast<int>(i);
-    snap.sharding = "distributed";
-    snap.retained_edges = stats.retained_edges;
-    snap.retained_vertices = stats.retained_vertices;
-    snap.evicted_edges = stats.evicted_edges;
-    snap.edges_processed = stats.edges_processed;
-    snap.completions = stats.completions;
-    snap.live_partial_matches = stats.live_partial_matches;
-    snap.matches_forwarded = stats.exchange.total_sent();
-    snap.matches_received = stats.exchange.total_received();
-    out.push_back(snap);
+  using Stats = StatusOr<std::vector<ShardStatsSnapshot>>;
+  const Status drained = DrainPending();
+  const Stats stats = drained.ok() ? driver_.Stats() : Stats(drained);
+  if (!stats.ok()) {
+    std::fprintf(stderr, "coordinator: shard loads failed: %s\n",
+                 stats.status().ToString().c_str());
+    return {};
   }
-  return out;
+  return ToShardLoads(stats.value(), "distributed");
 }
 
 Status DistributedBackend::PullMetricsReport(WorkerState* w) {
@@ -668,24 +597,19 @@ Status DistributedBackend::PullMetricsReport(WorkerState* w) {
     w->link->Close();
     return sent;
   }
-  while (true) {
-    auto frame_or =
-        w->link->ReadFrame(&wire_interner_, options_.metrics_timeout_ms);
-    if (!frame_or.ok()) {
-      // Never RecoverLink here: a scrape must not block on the 30s
-      // reconnect budget. Close the link and keep the stale cache; the
-      // pump's normal recovery heals the worker on its next epoch.
-      w->link->Close();
-      return frame_or.status();
-    }
-    if (frame_or.value().type == CtrlType::kMetricsReport) {
-      w->report = std::move(frame_or.value().metrics_report);
-      w->has_report = true;
-      w->report_at_us = PipelineMetrics::NowMicros();
-      return OkStatus();
-    }
-    SW_RETURN_IF_ERROR(HandleWorkerFrame(w, frame_or.value()));
+  auto report_or =
+      AwaitFrame(w, CtrlType::kMetricsReport, options_.metrics_timeout_ms);
+  if (!report_or.ok()) {
+    // Never RecoverLink here: a scrape must not block on the 30s reconnect
+    // budget. Close the link and keep the stale cache; the next state
+    // frame, barrier or request recovers the worker.
+    w->link->Close();
+    return report_or.status();
   }
+  w->report = std::move(report_or.value().metrics_report);
+  w->has_report = true;
+  w->report_at_us = PipelineMetrics::NowMicros();
+  return OkStatus();
 }
 
 void DistributedBackend::RefreshReports(uint64_t now_us) {

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "streamworks/common/interner.h"
+#include "streamworks/core/epoch_driver.h"
 #include "streamworks/graph/dynamic_graph.h"
-#include "streamworks/graph/edge_admission.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/net/peer_link.h"
 #include "streamworks/obs/cluster_snapshot.h"
@@ -31,12 +31,11 @@ struct DistributedBackendOptions {
   /// position. The partition function is OwnerShard(v, workers.size()).
   std::vector<std::string> workers;
   uint64_t partitioner_seed = 0;
-  /// Edges per ingest epoch: the batch/barrier/commit cadence, mirroring
-  /// the in-process group's epoch size.
-  int epoch_edges = 1024;
+  /// Admitted edges per ingest epoch: the batch/barrier/commit cadence.
+  int epoch_edges = kDefaultEpochEdges;
   /// Ingest backpressure bound: Feed blocks once this many edges are
   /// queued ahead of the pump.
-  size_t max_pending_edges = 32768;
+  size_t max_pending_edges = kDefaultMaxQueuedEdges;
   /// How long Start waits for each worker to come up.
   int connect_deadline_ms = 10000;
   /// How long a mid-stream reconnect retries before the cluster op fails
@@ -71,19 +70,21 @@ struct DistributedBackendOptions {
 };
 
 /// QueryBackend that runs every shard in its own worker daemon process,
-/// speaking the cluster control wire. This is the in-process
-/// ParallelEngineGroup's kPartitionedData mode lifted across process
-/// boundaries: the coordinator is the ingest router, exchange relay (star
-/// topology), barrier master, watermark committer, and completion
-/// delivery point — the service layer on top of it is unchanged.
+/// speaking the cluster control wire. It is the cluster ShardChannel under
+/// the same EpochDriver that runs ParallelEngineGroup's kPartitionedData
+/// mode: the driver admits and routes edges, cuts epochs, settles,
+/// commits, registers and folds Info; this class carries those steps over
+/// PeerLinks, and each worker daemon applies them to its ShardRuntime. The
+/// coordinator is the exchange relay (star topology), barrier master and
+/// completion delivery point — the service layer on top is unchanged.
 ///
 /// Epochs: Feed/FeedBatch only enqueue (bounded, blocking when full); a
-/// pump thread drains up to epoch_edges at a time, routes each admitted
-/// edge to its endpoint-owner worker(s) as a Batch, then runs a barrier
-/// fixpoint — barrier every worker, relay the exchange items their acks
-/// flushed, repeat until a round relays nothing — and commits the
-/// watermark. Control operations (Register/Info/...) drain pending edges
-/// first, so they observe everything fed before them.
+/// pump thread feeds up to epoch_edges at a time through the driver, whose
+/// admitted edges go straight into per-worker Batch frames, then settles
+/// with a barrier fixpoint — barrier every worker, relay the exchange
+/// items their acks flushed, repeat until a round relays nothing — and
+/// commits the watermark. Control operations (Register/Info/...) drain
+/// pending edges first, so they observe everything fed before them.
 ///
 /// Exchange relaying never holds the service's control mutex: the pump
 /// owns cluster_mu_ while it routes, so a stalled worker backpressures
@@ -91,16 +92,17 @@ struct DistributedBackendOptions {
 /// service only blocks when it explicitly asks this backend to quiesce.
 ///
 /// Fault tolerance (worker crash, kill -9 included): every state frame a
-/// worker has not durably acknowledged is retained; on link failure the
-/// coordinator reconnects (retrying up to reconnect_deadline_ms, covering
-/// a daemon restart), sends a Hello carrying how many exchange items and
-/// completions it has ever received from that shard, learns from the
-/// HelloAck how many frames survived in the worker's log, and resends the
-/// rest. The worker replays its log, skipping the outputs the cursors say
-/// were already delivered. Exactly-once, both directions. The coordinator
-/// itself is not replicated — it is the deployment's root, like the
-/// single-process service it replaces.
-class DistributedBackend : public QueryBackend {
+/// worker has not durably acknowledged is retained; on link failure — on
+/// a state frame, a barrier or a request — the coordinator reconnects
+/// (retrying up to reconnect_deadline_ms, covering a daemon restart),
+/// sends a Hello carrying how many exchange items and completions it has
+/// ever received from that shard, learns from the HelloAck how many frames
+/// survived in the worker's log, and resends the rest. The worker replays
+/// its log, skipping the outputs the cursors say were already delivered.
+/// Exactly-once, both directions. The coordinator itself is not
+/// replicated — it is the deployment's root, like the single-process
+/// service it replaces.
+class DistributedBackend : public QueryBackend, private ShardChannel {
  public:
   /// `interner` is the service's label interner (control-thread owned);
   /// queries and fed edges arrive in its id space.
@@ -131,11 +133,8 @@ class DistributedBackend : public QueryBackend {
     suppress_.store(suppress, std::memory_order_relaxed);
   }
 
-  /// Edges refused by group admission (label clash / stale timestamp),
-  /// mirroring the in-process group's aggregate counter.
-  uint64_t rejected_edges() const {
-    return rejected_edges_.load(std::memory_order_relaxed);
-  }
+  /// Edges refused by group admission (label clash / stale timestamp).
+  uint64_t rejected_edges() const { return driver_.rejected(); }
 
   // Cluster observability ----------------------------------------------------
 
@@ -183,18 +182,33 @@ class DistributedBackend : public QueryBackend {
 
   /// Retains `frame` for `w` and sends it, reconnecting on failure.
   Status SendStateFrame(WorkerState* w, std::string frame);
-  /// Reconnect + Hello/HelloAck + resend of the retained tail.
+  /// (Re)connects `w` and handshakes: a Hello carrying the recovery
+  /// cursors, answered by the count of frames durable in the worker's log.
+  StatusOr<uint64_t> Connect(WorkerState* w, int deadline_ms);
+  /// Connect + resend of the retained tail the worker's log lacks.
   Status RecoverLink(WorkerState* w);
   /// Handles one worker->coordinator frame that is not the ack currently
   /// being awaited: exchange relays and completion delivery.
   Status HandleWorkerFrame(WorkerState* from, const CtrlFrame& frame);
   /// Reads frames from `w` until one of `type` arrives, relaying
-  /// everything else through HandleWorkerFrame.
-  StatusOr<CtrlFrame> AwaitFrame(WorkerState* w, CtrlType type);
-  /// Per-epoch phase decomposition accumulated by BarrierFixpoint for the
-  /// epoch trace. apply is round 1's ack wait (dominated by workers
-  /// applying the batch); relay is exchange forwarding time; barrier is
-  /// the remaining rounds' settle time.
+  /// everything else through HandleWorkerFrame. A read failure is
+  /// returned, or — when `resend` is set — recovered, re-sending it.
+  StatusOr<CtrlFrame> AwaitFrame(WorkerState* w, CtrlType type,
+                                 int timeout_ms,
+                                 const std::string* resend = nullptr);
+  /// Sends an unlogged request frame (barrier, info, stats) and awaits
+  /// its `reply`. A dead link — a restarted worker, or one a metrics
+  /// timeout closed — is recovered like a state frame's, and the request
+  /// re-sent: requests are not retained, so no recovery replays them.
+  StatusOr<CtrlFrame> Request(WorkerState* w, const std::string& request,
+                              CtrlType reply);
+  /// Request's send half; a barrier sends to every worker before it
+  /// awaits any reply.
+  Status SendRequest(WorkerState* w, const std::string& request);
+  /// Per-epoch phase decomposition accumulated by Settle and
+  /// CommitWatermark for the epoch trace. apply is round 1's ack wait
+  /// (dominated by workers applying the batch); relay is exchange
+  /// forwarding time; barrier is the remaining rounds' settle time.
   struct EpochPhases {
     uint64_t apply_us = 0;
     uint64_t relay_us = 0;
@@ -204,10 +218,23 @@ class DistributedBackend : public QueryBackend {
     uint64_t relayed_items = 0;
   };
 
-  /// Barriers every worker and relays flushed exchange traffic until a
-  /// round moves nothing, then commits the watermark if it advanced.
-  Status BarrierFixpoint(EpochPhases* phases = nullptr);
-  Status AwaitBarrierAck(WorkerState* w, uint32_t round);
+  // ShardChannel: the driver's steps over the control wire.
+  void RouteEdge(int shard, const StreamEdge& edge, EdgeId id,
+                 bool run_anchors) override;
+  /// Ships the epoch's batches, then barriers every worker and relays
+  /// flushed exchange traffic until a round moves nothing.
+  Status Settle() override;
+  Status CommitWatermark(Timestamp watermark) override;
+  Status RegisterOnShards(int query_id, const QueryGraph& query,
+                          DecompositionStrategy strategy, Timestamp window,
+                          MatchCallback callback) override;
+  Status EndBackfill() override;
+  Status UnregisterOnShards(int query_id) override;
+  StatusOr<QueryRuntimeInfo> ShardInfo(int shard, int query_id) override;
+  StatusOr<ShardStatsSnapshot> ShardStatsAt(int shard) override;
+
+  /// Sends `frame` as a state frame to every worker.
+  Status BroadcastStateFrame(const std::string& frame);
   /// Requests and caches a fresh MetricsReport from `w`. On failure the
   /// link is closed (never RecoverLink here — a scrape must not block on
   /// the 30s reconnect budget) and the stale cache entry is kept.
@@ -220,8 +247,8 @@ class DistributedBackend : public QueryBackend {
   /// Federation collector body: refresh + merge worker samples and the
   /// coordinator's epoch-phase families into a scrape.
   void ContributeClusterMetrics(MetricSnapshotBuilder* out);
-  /// Routes up to epoch_edges pending edges into per-worker batches and
-  /// runs the epoch's barrier + commit. Returns edges consumed.
+  /// Feeds up to epoch_edges pending edges through the driver and closes
+  /// the epoch, tracing its phases. Returns edges consumed.
   StatusOr<size_t> RunEpoch();
   /// RunEpoch until the pending queue is empty (control ops call this so
   /// they observe all prior ingest).
@@ -248,8 +275,9 @@ class DistributedBackend : public QueryBackend {
   std::mutex cluster_mu_;
   std::vector<WorkerState> workers_;
   std::map<int, QueryState> queries_;
-  int next_query_id_ = 0;
   HashModuloPartitioner partitioner_;
+  /// The current epoch's routed edges, one batch per worker.
+  std::vector<CtrlBatch> batches_;
 
   /// Decode/relay id space for worker->coordinator frames; disjoint from
   /// the service interner (labels cross between them as strings).
@@ -258,10 +286,8 @@ class DistributedBackend : public QueryBackend {
   /// coordinator-side external-id resolution without storing any edges.
   DynamicGraph coord_graph_;
 
-  // Group ingest state: the in-process group's admission, run once here
-  // so every worker's vertex records agree.
-  EdgeAdmission admission_;
-  Timestamp last_broadcast_watermark_ = -1;
+  /// The group side: admission, routing, epochs, registration, Info.
+  EpochDriver driver_;
   uint32_t barrier_round_ = 0;
   uint64_t relays_total_ = 0;
 
@@ -270,8 +296,10 @@ class DistributedBackend : public QueryBackend {
   EpochTraceRing epoch_ring_;
   int federation_token_ = -1;  ///< Registry collector token, -1 if none.
   /// Cumulative exchange-forwarding wall time and items, accumulated by
-  /// HandleWorkerFrame; BarrierFixpoint differences them per round.
+  /// HandleWorkerFrame; Settle differences them per round.
   uint64_t relay_forward_us_ = 0;
+  /// The running epoch's phases; RunEpoch resets and reads them.
+  EpochPhases phases_;
   AtomicHistogram phase_batch_us_;
   AtomicHistogram phase_apply_us_;
   AtomicHistogram phase_relay_us_;
@@ -288,7 +316,6 @@ class DistributedBackend : public QueryBackend {
   std::thread pump_;
   bool started_ = false;
   std::atomic<bool> suppress_{false};
-  std::atomic<uint64_t> rejected_edges_{0};
 };
 
 /// Splits "host:port". Exposed for the demo binary's flag parsing.

@@ -13,15 +13,10 @@
 #include "streamworks/common/str_util.h"
 #include "streamworks/net/socket.h"
 #include "streamworks/obs/json_render.h"
-#include "streamworks/planner/planner.h"
 
 namespace streamworks {
 
 namespace {
-
-/// Exchange frames carry at most this many items so one drain of a hot
-/// shard never approaches the frame-body cap.
-constexpr size_t kMaxExchangeItemsPerFrame = 512;
 
 constexpr int kHandshakeTimeoutMs = 10000;
 
@@ -111,11 +106,15 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
   live_link_ = link;
   completion_send_error_ = OkStatus();
   SW_RETURN_IF_ERROR(Handshake(link));
+  std::string raw;
   while (!stop.load(std::memory_order_relaxed)) {
     // Scrapes interleave with control frames: each loop turn drains any
     // pending HTTP connections before blocking on the link again.
     ServeHttpConnection();
-    auto frame_or = link->ReadFrame(&interner_, options_.poll_interval_ms);
+    // The frame log keeps state frames exactly as the coordinator sent
+    // them.
+    auto frame_or = link->ReadFrame(&interner_, options_.poll_interval_ms,
+                                    log_ != nullptr ? &raw : nullptr);
     if (!frame_or.ok()) {
       if (IsReadTimeout(frame_or.status())) continue;
       return frame_or.status();
@@ -123,7 +122,7 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
     const CtrlFrame& frame = frame_or.value();
     if (IsStateCtrlType(frame.type)) {
       CtrlRegisterAck ack;
-      SW_RETURN_IF_ERROR(ApplyStateFrame(frame, &ack));
+      SW_RETURN_IF_ERROR(ApplyStateFrame(frame, raw, &ack));
       SW_RETURN_IF_ERROR(FlushOutbox(link));
       SW_RETURN_IF_ERROR(completion_send_error_);
       if (frame.type == CtrlType::kRegister) {
@@ -154,7 +153,8 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
         SW_RETURN_IF_ERROR(SendInfoAck(link, frame.info));
         break;
       case CtrlType::kStats:
-        SW_RETURN_IF_ERROR(SendStatsAck(link));
+        SW_RETURN_IF_ERROR(
+            link->SendFrame(EncodeStatsAckFrame(shard_->Stats())));
         break;
       case CtrlType::kMetricsRequest:
         SW_RETURN_IF_ERROR(SendMetricsReport(link));
@@ -200,13 +200,9 @@ Status WorkerDaemon::Configure(const CtrlHello& hello) {
   // engine stage timings scrapeable locally and federated upward.
   EngineOptions engine_options;
   engine_options.pipeline = &pipeline_;
-  engine_ = std::make_unique<StreamWorksEngine>(&interner_, engine_options);
-  ShardConfig config;
-  config.shard_index = shard_index_;
-  config.num_shards = num_shards_;
-  config.partitioner = partitioner_.get();
-  config.exchange = &exchange_;
-  engine_->EnableShardMode(config);
+  shard_ = std::make_unique<ShardRuntime>(&interner_, engine_options,
+                                          shard_index_, num_shards_,
+                                          partitioner_.get());
   configured_ = true;
   return OkStatus();
 }
@@ -241,7 +237,7 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
               return Status::DataLoss(StrCat("undecodable frame log record ",
                                              seq, ": ", decoded.error));
             }
-            SW_RETURN_IF_ERROR(ApplyStateFrame(decoded.frame, nullptr));
+            SW_RETURN_IF_ERROR(ApplyStateFrame(decoded.frame, record, nullptr));
             SW_RETURN_IF_ERROR(FlushOutbox(nullptr));
             ++counters_.replayed_frames;
             return uint64_t{1};
@@ -270,54 +266,38 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
   return OkStatus();
 }
 
-std::string WorkerDaemon::ReencodeStateFrame(const CtrlFrame& frame) const {
-  const LabelNameFn name = [this](LabelId id) -> std::string_view {
-    return interner_.Name(id);
-  };
-  switch (frame.type) {
-    case CtrlType::kRegister:
-      return EncodeRegisterFrame(frame.reg);
-    case CtrlType::kEndBackfill:
-      return EncodeEndBackfillFrame();
-    case CtrlType::kUnregister:
-      return EncodeUnregisterFrame(frame.unregister);
-    case CtrlType::kBatch:
-      return EncodeBatchFrame(frame.batch, name);
-    case CtrlType::kExchange:
-      return EncodeExchangeFrame(frame.exchange, name);
-    case CtrlType::kCommit:
-      return EncodeCommitFrame(frame.commit);
-    default:
-      return std::string();
-  }
-}
-
 Status WorkerDaemon::ApplyStateFrame(const CtrlFrame& frame,
+                                     std::string_view raw,
                                      CtrlRegisterAck* register_ack_out) {
   if (log_ != nullptr && !replaying_) {
     // Log before apply: a crash after the append replays the frame; a
     // crash before it leaves the coordinator's resend buffer responsible.
-    SW_RETURN_IF_ERROR(log_->Append(ReencodeStateFrame(frame)));
+    SW_RETURN_IF_ERROR(log_->Append(raw));
   }
   switch (frame.type) {
     case CtrlType::kRegister:
       SW_RETURN_IF_ERROR(ApplyRegister(frame.reg, register_ack_out));
       break;
     case CtrlType::kEndBackfill:
-      engine_->set_suppress_completions(false);
+      shard_->EndBackfill();
       break;
     case CtrlType::kUnregister:
       // NotFound (already unregistered) is benign on the resend path.
-      engine_->UnregisterQuery(frame.unregister.query_id).ok();
+      shard_->Unregister(frame.unregister.query_id).ok();
       break;
     case CtrlType::kBatch:
-      SW_RETURN_IF_ERROR(ApplyBatch(frame.batch));
+      edges_fed_->Increment(frame.batch.edges.size());
+      for (const CtrlShardEdge& e : frame.batch.edges) {
+        shard_->ApplyEdge(e.edge, e.global_id, e.run_anchors);
+      }
       break;
     case CtrlType::kExchange:
-      SW_RETURN_IF_ERROR(ApplyExchange(frame.exchange));
+      for (const CtrlExchangeItem& item : frame.exchange.items) {
+        shard_->ApplyItem(item.item);
+      }
       break;
     case CtrlType::kCommit:
-      engine_->AdvanceWatermark(frame.commit.watermark);
+      shard_->Commit(frame.commit.watermark);
       break;
     default:
       return Status::Internal("non-state frame reached ApplyStateFrame");
@@ -329,10 +309,6 @@ Status WorkerDaemon::ApplyStateFrame(const CtrlFrame& frame,
 
 Status WorkerDaemon::ApplyRegister(const CtrlRegister& reg,
                                    CtrlRegisterAck* ack_out) {
-  // Suppress from here until the coordinator's EndBackfill: both the
-  // local backfill below and the backfill exchange items relayed from
-  // peer shards re-derive matches that completed in the past.
-  engine_->set_suppress_completions(true);
   QueryGraphBuilder builder(&interner_);
   for (const std::string& label : reg.vertex_labels) {
     builder.AddVertex(label);
@@ -340,76 +316,39 @@ Status WorkerDaemon::ApplyRegister(const CtrlRegister& reg,
   for (const CtrlQueryEdge& edge : reg.edges) {
     builder.AddEdge(edge.src, edge.dst, edge.label);
   }
-  auto built = builder.Build(reg.name);
-  StatusOr<int> registered =
-      built.ok()
-          ? engine_->RegisterQuery(
-                built.value(),
-                static_cast<DecompositionStrategy>(reg.strategy), reg.window,
-                [this](const CompleteMatch& cm) { OnCompletion(cm); })
-          : StatusOr<int>(built.status());
-  if (!registered.ok()) {
-    // Validation failures are deterministic — every worker refuses the
-    // same registration the same way, no engine id is consumed, and the
-    // coordinator surfaces the error to the tenant. Unsuppress now: no
-    // EndBackfill will follow a failed registration.
-    engine_->set_suppress_completions(false);
-    if (ack_out != nullptr) {
-      ack_out->id = reg.expect_id;
-      ack_out->ok = false;
-      ack_out->error = registered.status().ToString();
-    }
+  // Every worker plans from the frame's strategy against the same
+  // uninformed estimator, so the replicated trees agree.
+  StatusOr<int> registered = [&]() -> StatusOr<int> {
+    SW_ASSIGN_OR_RETURN(const QueryGraph query, builder.Build(reg.name));
+    SW_ASSIGN_OR_RETURN(
+        const Decomposition plan,
+        shard_->engine().PlanWithCurrentStats(
+            query, static_cast<DecompositionStrategy>(reg.strategy)));
+    return shard_->Register(
+        query, plan, reg.window,
+        [this](const CompleteMatch& cm) { OnCompletion(cm); });
+  }();
+  if (ack_out != nullptr) {
+    ack_out->id = reg.expect_id;
+    ack_out->ok = registered.ok();
+    if (!registered.ok()) ack_out->error = registered.status().ToString();
+  }
+  // Validation failures are deterministic — every worker refuses the same
+  // registration the same way, no engine id is consumed, and the
+  // coordinator surfaces the error to the tenant.
+  if (!registered.ok() || registered.value() == reg.expect_id) {
     return OkStatus();
   }
-  if (registered.value() != reg.expect_id) {
-    fatal_ = true;
-    return Status::Internal(
-        StrCat("registration id diverged: coordinator expects ",
-               reg.expect_id, ", engine assigned ", registered.value(),
-               " (state streams out of sync)"));
-  }
-  // Distributed backfill, this shard's share: re-anchor each stored edge
-  // whose source vertex this shard owns (the same edge is stored on both
-  // endpoint owners; anchoring only at the source owner runs it exactly
-  // once group-wide — the live run_anchors discipline).
-  const DynamicGraph& graph = engine_->graph();
-  for (size_t i = 0; i < graph.num_stored_edges(); ++i) {
-    const EdgeId id = graph.stored_edge_id(i);
-    const EdgeRecord& record = graph.edge_record(id);
-    if (partitioner_->OwnerShard(graph.external_id(record.src),
-                                 num_shards_) != shard_index_) {
-      continue;
-    }
-    engine_->BackfillQueryEdge(registered.value(), id);
-  }
-  if (ack_out != nullptr) {
-    ack_out->id = registered.value();
-    ack_out->ok = true;
-  }
-  return OkStatus();
-}
-
-Status WorkerDaemon::ApplyBatch(const CtrlBatch& batch) {
-  edges_fed_->Increment(batch.edges.size());
-  for (const CtrlShardEdge& e : batch.edges) {
-    // Admission ran at the coordinator (group-consistent label and time
-    // checks); a rejection here would mean divergent state streams, which
-    // the engine counts rather than fails on.
-    engine_->ProcessShardEdge(e.edge, e.global_id, e.run_anchors).ok();
-  }
-  return OkStatus();
-}
-
-Status WorkerDaemon::ApplyExchange(const CtrlExchange& exchange) {
-  for (const CtrlExchangeItem& item : exchange.items) {
-    engine_->HandleExchangeItem(item.item);
-  }
-  return OkStatus();
+  fatal_ = true;
+  return Status::Internal(
+      StrCat("registration id diverged: coordinator expects ", reg.expect_id,
+             ", engine assigned ", registered.value(),
+             " (state streams out of sync)"));
 }
 
 Status WorkerDaemon::FlushOutbox(PeerLink* link) {
-  if (exchange_.empty()) return OkStatus();
-  auto items = exchange_.Drain();
+  if (shard_->exchange().empty()) return OkStatus();
+  auto items = shard_->exchange().Drain();
   std::vector<CtrlExchangeItem> out;
   out.reserve(items.size());
   for (auto& [dest, item] : items) {
@@ -426,16 +365,7 @@ Status WorkerDaemon::FlushOutbox(PeerLink* link) {
   const LabelNameFn name = [this](LabelId id) -> std::string_view {
     return interner_.Name(id);
   };
-  for (size_t begin = 0; begin < out.size();
-       begin += kMaxExchangeItemsPerFrame) {
-    const size_t end =
-        std::min(out.size(), begin + kMaxExchangeItemsPerFrame);
-    CtrlExchange chunk;
-    chunk.items.assign(std::make_move_iterator(out.begin() +
-                                               static_cast<ptrdiff_t>(begin)),
-                       std::make_move_iterator(out.begin() +
-                                               static_cast<ptrdiff_t>(end)));
-    std::string frame = EncodeExchangeFrame(chunk, name);
+  for (std::string& frame : EncodeExchangeFrames(out, name)) {
     if (replaying_) {
       pending_out_.push_back(std::move(frame));
     } else {
@@ -453,7 +383,7 @@ void WorkerDaemon::OnCompletion(const CompleteMatch& cm) {
   CtrlCompletion completion;
   completion.query_id = cm.query_id;
   completion.completed_at = cm.completed_at;
-  completion.match = MatchExchange::ToWire(engine_->graph(), cm.match);
+  completion.match = MatchExchange::ToWire(shard_->engine().graph(), cm.match);
   const LabelNameFn name = [this](LabelId id) -> std::string_view {
     return interner_.Name(id);
   };
@@ -473,46 +403,14 @@ void WorkerDaemon::OnCompletion(const CompleteMatch& cm) {
 
 Status WorkerDaemon::SendInfoAck(PeerLink* link, const CtrlInfo& info) {
   CtrlInfoAck ack;
-  if (engine_ != nullptr && engine_->has_query(info.query_id)) {
-    const QueryRuntimeInfo qi = engine_->query_info(info.query_id);
-    ack.ok = true;
-    ack.name = qi.name;
-    ack.window = qi.window;
-    ack.completions = qi.completions;
-    ack.live_partial_matches = qi.live_partial_matches;
-    ack.peak_partial_matches = qi.peak_partial_matches;
-    ack.nodes.reserve(qi.nodes.size());
-    for (const SjNodeRuntime& node : qi.nodes) {
-      CtrlNodeRuntime out;
-      out.node = node.node;
-      out.is_leaf = node.is_leaf;
-      out.query_edges = node.query_edges;
-      out.matches_inserted = node.matches_inserted;
-      out.probes = node.probes;
-      out.join_attempts = node.join_attempts;
-      out.joins_succeeded = node.joins_succeeded;
-      out.live_partial_matches = node.live_partial_matches;
-      ack.nodes.push_back(out);
-    }
+  auto runtime_info = shard_->Info(info.query_id);
+  ack.ok = runtime_info.ok();
+  if (ack.ok) {
+    static_cast<QueryRuntimeInfo&>(ack) = std::move(runtime_info).value();
   } else {
-    ack.ok = false;
-    ack.error = "unknown or unregistered query id";
+    ack.error = runtime_info.status().message();
   }
   return link->SendFrame(EncodeInfoAckFrame(ack));
-}
-
-Status WorkerDaemon::SendStatsAck(PeerLink* link) {
-  CtrlStatsAck ack;
-  if (engine_ != nullptr) {
-    ack.retained_edges = engine_->graph().num_stored_edges();
-    ack.retained_vertices = engine_->graph().num_vertices();
-    ack.evicted_edges = engine_->graph().num_evicted_edges();
-    ack.edges_processed = engine_->metrics().edges_processed;
-    ack.completions = engine_->metrics().completions;
-    ack.live_partial_matches = engine_->total_live_partial_matches();
-    ack.exchange = exchange_.counters();
-  }
-  return link->SendFrame(EncodeStatsAckFrame(ack));
 }
 
 Status WorkerDaemon::SendMetricsReport(PeerLink* link) {

@@ -9,14 +9,13 @@
 #include "streamworks/common/interner.h"
 #include "streamworks/common/statusor.h"
 #include "streamworks/common/unique_fd.h"
-#include "streamworks/core/engine.h"
+#include "streamworks/core/shard_runtime.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/net/peer_link.h"
 #include "streamworks/obs/http_endpoint.h"
 #include "streamworks/obs/metric_registry.h"
 #include "streamworks/obs/stage_trace.h"
 #include "streamworks/persist/segment_log.h"
-#include "streamworks/sjtree/exchange.h"
 #include "streamworks/stream/cluster_wire.h"
 
 namespace streamworks {
@@ -46,15 +45,16 @@ struct WorkerCounters {
 };
 
 /// One shard of a distributed StreamWorks cluster, run as a daemon: a
-/// single-threaded server owning one StreamWorksEngine in shard mode, fed
-/// control frames by a coordinator over a PeerLink.
+/// single-threaded server owning one ShardRuntime, fed control frames by a
+/// coordinator over a PeerLink.
 ///
-/// The daemon speaks exactly the in-process ParallelEngineGroup's
-/// kPartitionedData protocol, lifted onto the wire: the coordinator routes
-/// each ingested edge to its endpoint owners (kBatch), forwarded partial
-/// matches flow back up and get relayed (kExchange — star topology, no
-/// worker mesh), epoch barriers bound in-flight work (kBarrier/kBarrierAck)
-/// and watermark commits drive expiry (kCommit).
+/// Each state frame maps onto one ShardRuntime step — the same steps
+/// ParallelEngineGroup's shard threads take in process: kRegister
+/// registers and runs this shard's backfill share, kBatch applies routed
+/// edges, kExchange applies relayed items, kCommit advances the
+/// watermark. Forwarded partial matches flow back up to the coordinator,
+/// which relays them (star topology, no worker mesh); epoch barriers
+/// (kBarrier/kBarrierAck) bound in-flight work.
 ///
 /// Durability and exactly-once recovery: every *state-bearing* frame
 /// (IsStateCtrlType) is appended to the frame log before it is applied, in
@@ -123,15 +123,14 @@ class WorkerDaemon {
   /// validates consistency (reconnect).
   Status Configure(const CtrlHello& hello);
 
-  /// Logs (when durable) and applies one state frame; increments
-  /// frames_applied. `register_ack_out`, when non-null, receives the ack
-  /// for a kRegister frame (replay passes null — no one is listening).
-  Status ApplyStateFrame(const CtrlFrame& frame,
+  /// Logs `raw`, the frame's wire bytes (when durable), and applies one
+  /// state frame; increments frames_applied. `register_ack_out`, when
+  /// non-null, receives the ack for a kRegister frame (replay passes null
+  /// — no one is listening).
+  Status ApplyStateFrame(const CtrlFrame& frame, std::string_view raw,
                          CtrlRegisterAck* register_ack_out);
 
   Status ApplyRegister(const CtrlRegister& reg, CtrlRegisterAck* ack_out);
-  Status ApplyBatch(const CtrlBatch& batch);
-  Status ApplyExchange(const CtrlExchange& exchange);
 
   /// Drains the engine's exchange outbox into kExchange frames for the
   /// coordinator (chunked), honouring the replay skip cursor. In replay
@@ -142,11 +141,7 @@ class WorkerDaemon {
   /// during replay).
   void OnCompletion(const CompleteMatch& cm);
 
-  /// Re-encodes `frame` exactly as the wire carried it, for the log.
-  std::string ReencodeStateFrame(const CtrlFrame& frame) const;
-
   Status SendInfoAck(PeerLink* link, const CtrlInfo& info);
-  Status SendStatsAck(PeerLink* link);
   /// Snapshots the registry + cursors into a CRC'd MetricsReport frame.
   Status SendMetricsReport(PeerLink* link);
 
@@ -174,8 +169,7 @@ class WorkerDaemon {
 
   Interner interner_;
   std::unique_ptr<HashModuloPartitioner> partitioner_;
-  MatchExchange exchange_;
-  std::unique_ptr<StreamWorksEngine> engine_;
+  std::unique_ptr<ShardRuntime> shard_;  ///< Built by Configure.
   std::unique_ptr<SegmentLog> log_;  ///< kFrameLogFormat, span 1.
 
   int shard_index_ = -1;

@@ -124,6 +124,18 @@ struct QueryRuntimeInfo {
   std::vector<SjNodeRuntime> nodes;
 };
 
+/// Point-in-time per-shard load/traffic counters (ShardRuntime::Stats).
+struct ShardStatsSnapshot {
+  int shard = 0;
+  uint64_t retained_edges = 0;    ///< Edges currently stored in the window.
+  uint64_t retained_vertices = 0;
+  uint64_t evicted_edges = 0;
+  uint64_t edges_processed = 0;   ///< Ingested copies (not group-unique).
+  uint64_t completions = 0;       ///< Matches this shard delivered.
+  uint64_t live_partial_matches = 0;
+  ExchangeCounters exchange;      ///< All zero in broadcast mode.
+};
+
 /// Point-in-time export of the retained window in external-id form: what
 /// a snapshot persists and a recovering process re-ingests. `edges` are
 /// ascending by id; `next_edge_id` and `watermark` restore the id
@@ -137,10 +149,9 @@ struct WindowSnapshot {
 };
 
 /// Identity one engine assumes when it runs as one shard of a
-/// vertex-partitioned group (ParallelEngineGroup in kPartitionedData
-/// mode). `partitioner` and `exchange` must outlive the engine; both are
-/// shared with the group, which owns routing edges in and forwarding
-/// matches out.
+/// vertex-partitioned group (see ShardRuntime). `partitioner` and
+/// `exchange` must outlive the engine; the group routes edges in and
+/// forwards the exchange's matches out.
 struct ShardConfig {
   int shard_index = 0;
   int num_shards = 1;
@@ -201,6 +212,11 @@ class StreamWorksEngine {
                              std::optional<DecompositionStrategy> strategy =
                                  std::nullopt);
 
+  /// Plans `query` against the engine's current statistics (uninformed
+  /// when statistics collection is off or nothing was observed yet).
+  StatusOr<Decomposition> PlanWithCurrentStats(
+      const QueryGraph& query, DecompositionStrategy strategy) const;
+
   /// Number of tree swaps performed by adaptive re-planning so far.
   uint64_t replans_performed() const { return replans_performed_; }
 
@@ -256,9 +272,9 @@ class StreamWorksEngine {
   void AdvanceWatermark(Timestamp watermark);
 
   /// Re-runs anchor plans of `query_id` for the stored edge `edge_id`
-  /// (sharded path, exchange via the router). The group drives this during
-  /// distributed backfill of a mid-stream registration, with completions
-  /// suppressed; call only on the shard owning the edge's source vertex.
+  /// (sharded path, exchange via the router). ShardRuntime::Register drives
+  /// this during distributed backfill of a mid-stream registration, with
+  /// completions suppressed, only on the shard owning the edge's source.
   void BackfillQueryEdge(int query_id, EdgeId edge_id);
 
   /// While set, completed matches are dropped before counting/delivery
@@ -365,10 +381,6 @@ class StreamWorksEngine {
 
   /// Recomputes the label-routing index from every registered query.
   void RebuildRoutes();
-
-  /// Plans `query` with the engine's current statistics.
-  StatusOr<Decomposition> PlanWithCurrentStats(
-      const QueryGraph& query, DecompositionStrategy strategy) const;
 
   Interner* interner_;
   EngineOptions options_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "streamworks/common/logging.h"
-#include "streamworks/planner/selectivity.h"
 
 namespace streamworks {
 
@@ -12,23 +11,20 @@ ParallelEngineGroup::ParallelEngineGroup(Interner* interner, int num_shards,
                                          ShardingMode mode,
                                          const Partitioner* partitioner)
     : mode_(mode),
-      options_(options),
       partitioner_(partitioner != nullptr ? partitioner
                                           : &default_partitioner_) {
   SW_CHECK_GT(num_shards, 0);
+  const bool partitioned = mode_ == ShardingMode::kPartitionedData;
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(interner, options));
+    shards_.push_back(std::make_unique<Shard>(
+        interner, options, i, num_shards,
+        partitioned ? partitioner_ : nullptr));
   }
-  if (mode_ == ShardingMode::kPartitionedData) {
-    for (int i = 0; i < num_shards; ++i) {
-      ShardConfig config;
-      config.shard_index = i;
-      config.num_shards = num_shards;
-      config.partitioner = partitioner_;
-      config.exchange = &shards_[static_cast<size_t>(i)]->exchange;
-      shards_[static_cast<size_t>(i)]->engine.EnableShardMode(config);
-    }
+  if (partitioned) {
+    ShardChannel* channel = this;  // a private base: convert in here
+    driver_ = std::make_unique<EpochDriver>(channel, partitioner_, num_shards,
+                                            kDefaultEpochEdges);
   }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(s); });
@@ -76,342 +72,134 @@ Status ParallelEngineGroup::ResolveGroupId(int group_query_id,
   return OkStatus();
 }
 
-StatusOr<Decomposition> ParallelEngineGroup::PlanForGroup(
-    const QueryGraph& query, DecompositionStrategy strategy) const {
-  // One plan for every shard: the replicated trees must agree on node
-  // numbering and cut vertices or the exchange's homing would scatter
-  // siblings. Shard 0's statistics stand in for the group's (each shard
-  // observes only its own edge subset; planning quality, not correctness).
-  const StreamWorksEngine& engine0 = shards_[0]->engine;
-  const SummaryStatistics* stats =
-      (options_.collect_statistics &&
-       engine0.statistics().num_edges_observed() > 0)
-          ? &engine0.statistics()
-          : nullptr;
-  SelectivityEstimator estimator(stats);
-  QueryPlanner planner(&estimator);
-  return planner.Plan(query, strategy);
-}
-
 StatusOr<int> ParallelEngineGroup::RegisterQuery(
     const QueryGraph& query, DecompositionStrategy strategy,
     Timestamp window, MatchCallback callback) {
-  if (mode_ == ShardingMode::kBroadcastData) {
-    Shard& shard = *shards_[static_cast<size_t>(next_shard_)];
-    auto lock = Quiesce(&shard);
-    SW_ASSIGN_OR_RETURN(
-        const int local_id,
-        shard.engine.RegisterQuery(query, strategy, window,
-                                   std::move(callback)));
-    const int group_id =
-        next_shard_ + local_id * static_cast<int>(shards_.size());
-    next_shard_ = (next_shard_ + 1) % static_cast<int>(shards_.size());
-    return group_id;
+  if (driver_ != nullptr) {
+    return driver_->Register(query, strategy, window, std::move(callback));
   }
-
-  QuiesceAll();
-  SW_ASSIGN_OR_RETURN(const Decomposition planned,
-                      PlanForGroup(query, strategy));
-  // Replicate onto every shard. Identical registration sequences keep the
-  // per-engine ids aligned, so the group id is the engine id.
-  auto first = shards_[0]->engine.RegisterQuery(query, planned, window,
-                                                callback);
-  SW_RETURN_IF_ERROR(first.status());
-  const int group_id = first.value();
-  for (size_t s = 1; s < shards_.size(); ++s) {
-    auto replicated =
-        shards_[s]->engine.RegisterQuery(query, planned, window, callback);
-    // Shard 0 already passed the same deterministic validation.
-    SW_CHECK(replicated.ok()) << replicated.status().ToString();
-    SW_CHECK_EQ(replicated.value(), group_id)
-        << "shard registration sequences diverged";
-  }
-  BackfillQueryDistributed(group_id);
+  Shard& shard = *shards_[static_cast<size_t>(next_shard_)];
+  auto lock = Quiesce(&shard);
+  SW_ASSIGN_OR_RETURN(
+      const int local_id,
+      shard.runtime.engine().RegisterQuery(query, strategy, window,
+                                           std::move(callback)));
+  const int group_id =
+      next_shard_ + local_id * static_cast<int>(shards_.size());
+  next_shard_ = (next_shard_ + 1) % static_cast<int>(shards_.size());
   return group_id;
 }
 
-void ParallelEngineGroup::BackfillQueryDistributed(int query_id) {
-  bool any_edges = false;
-  for (auto& shard : shards_) {
-    any_edges = any_edges || shard->engine.graph().num_stored_edges() > 0;
-  }
-  if (!any_edges) return;
-
-  // Replay the retained window through the sharded pipeline with
-  // completions suppressed — the distributed analogue of the engine's
-  // BuildBackfilledTree. Only the new query's tree is touched (anchors run
-  // per query id), so the group-wide suppression flag is safe. Order
-  // across shards is irrelevant: the graph is static here and the anchor
-  // discipline bounds candidates by edge id, not by ingest recency.
-  for (auto& shard : shards_) {
-    shard->engine.set_suppress_completions(true);
-  }
-  const int n = num_shards();
-  for (int s = 0; s < n; ++s) {
-    StreamWorksEngine& engine = shards_[static_cast<size_t>(s)]->engine;
-    const DynamicGraph& graph = engine.graph();
-    for (size_t i = 0; i < graph.num_stored_edges(); ++i) {
-      const EdgeId id = graph.stored_edge_id(i);
-      const EdgeRecord& record = graph.edge_record(id);
-      // Anchor each edge once group-wide: on its source-owner shard, the
-      // same shard that gets run_anchors during live ingest.
-      if (partitioner_->OwnerShard(graph.external_id(record.src), n) != s) {
-        continue;
-      }
-      engine.BackfillQueryEdge(query_id, id);
-    }
-    PumpExchange();
-  }
-  for (auto& shard : shards_) {
-    shard->engine.set_suppress_completions(false);
-  }
-}
-
-void ParallelEngineGroup::PumpExchange() {
-  // Control-thread fixpoint (group quiesced): deliver forwarded items
-  // directly until no shard produces more.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto& shard : shards_) {
-      for (auto& [dest, item] : shard->exchange.Drain()) {
-        shards_[static_cast<size_t>(dest)]->engine.HandleExchangeItem(item);
-        progress = true;
-      }
-    }
-  }
-}
-
 Status ParallelEngineGroup::UnregisterQuery(int group_query_id) {
-  if (mode_ == ShardingMode::kBroadcastData) {
-    int shard_index = 0, local_id = 0;
-    SW_RETURN_IF_ERROR(
-        ResolveGroupId(group_query_id, &shard_index, &local_id));
-    Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-    auto lock = Quiesce(&shard);
-    return shard.engine.UnregisterQuery(local_id);
-  }
-
-  // Any shard may hold the query's partials and in-flight exchange items
-  // reference it by id, so the whole group quiesces first.
-  QuiesceAll();
-  Status status = OkStatus();
-  for (auto& shard : shards_) {
-    const Status s = shard->engine.UnregisterQuery(group_query_id);
-    if (!s.ok()) status = s;
-  }
-  return status;
+  if (driver_ != nullptr) return driver_->Unregister(group_query_id);
+  int shard_index = 0, local_id = 0;
+  SW_RETURN_IF_ERROR(ResolveGroupId(group_query_id, &shard_index, &local_id));
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
+  auto lock = Quiesce(&shard);
+  return shard.runtime.Unregister(local_id);
 }
 
 StatusOr<QueryRuntimeInfo> ParallelEngineGroup::query_info(
     int group_query_id) {
-  if (mode_ == ShardingMode::kBroadcastData) {
-    int shard_index = 0, local_id = 0;
-    SW_RETURN_IF_ERROR(
-        ResolveGroupId(group_query_id, &shard_index, &local_id));
-    Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-    auto lock = Quiesce(&shard);
-    if (!shard.engine.has_query(local_id)) {
-      return Status::NotFound("unknown or unregistered group query id");
-    }
-    QueryRuntimeInfo info = shard.engine.query_info(local_id);
-    info.query_id = group_query_id;
-    return info;
-  }
-
-  QuiesceAll();
-  if (group_query_id < 0 || !shards_[0]->engine.has_query(group_query_id)) {
-    return Status::NotFound("unknown or unregistered group query id");
-  }
-  // Completions are counted where they are delivered: the callback home.
-  const size_t home =
-      static_cast<size_t>(group_query_id % num_shards());
-  QueryRuntimeInfo info = shards_[home]->engine.query_info(group_query_id);
+  if (driver_ != nullptr) return driver_->Info(group_query_id);
+  int shard_index = 0, local_id = 0;
+  SW_RETURN_IF_ERROR(ResolveGroupId(group_query_id, &shard_index, &local_id));
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
+  auto lock = Quiesce(&shard);
+  SW_ASSIGN_OR_RETURN(QueryRuntimeInfo info, shard.runtime.Info(local_id));
   info.query_id = group_query_id;
-  info.live_partial_matches = 0;
-  info.peak_partial_matches = 0;
-  // Every shard runs a replica of the same tree shape, so the per-node
-  // counters sum element-wise; start from zeroed nodes and fold each
-  // shard's contribution in (including the home's, re-read below).
-  for (SjNodeRuntime& node : info.nodes) {
-    node.matches_inserted = 0;
-    node.probes = 0;
-    node.join_attempts = 0;
-    node.joins_succeeded = 0;
-    node.live_partial_matches = 0;
-  }
-  for (auto& shard : shards_) {
-    const QueryRuntimeInfo per = shard->engine.query_info(group_query_id);
-    info.live_partial_matches += per.live_partial_matches;
-    info.peak_partial_matches += per.peak_partial_matches;
-    for (size_t n = 0; n < info.nodes.size() && n < per.nodes.size(); ++n) {
-      info.nodes[n].matches_inserted += per.nodes[n].matches_inserted;
-      info.nodes[n].probes += per.nodes[n].probes;
-      info.nodes[n].join_attempts += per.nodes[n].join_attempts;
-      info.nodes[n].joins_succeeded += per.nodes[n].joins_succeeded;
-      info.nodes[n].live_partial_matches += per.nodes[n].live_partial_matches;
-    }
-  }
   return info;
 }
 
-void ParallelEngineGroup::EnqueueTask(Shard* shard, ShardTask task,
-                                      bool bounded) {
-  std::unique_lock<std::mutex> lock(shard->mu);
-  if (bounded) {
-    shard->cv_producer.wait(lock, [&] {
-      return shard->queue.size() < kMaxQueuedEdges;
-    });
-  }
-  const bool was_empty = shard->queue.empty();
-  shard->queue.push_back(std::move(task));
-  shard->idle = false;
-  pending_.fetch_add(1);
-  // The worker only sleeps when the queue is empty, so a wakeup is needed
-  // just on the empty -> non-empty transition (it re-checks the queue
-  // after finishing its current swap buffer regardless).
-  if (was_empty) shard->cv_consumer.notify_one();
-}
-
-void ParallelEngineGroup::PartitionedIngest(const StreamEdge& edge) {
-  const auto route = admission_.Admit(edge, *partitioner_, num_shards());
-  if (!route.has_value()) {
-    ++group_rejected_;
-    return;
-  }
-  ++edges_since_epoch_;
-  ShardTask task;
-  task.kind = ShardTask::Kind::kEdge;
-  task.run_anchors = true;  // the src owner anchors; exactly one shard
-  task.edge = edge;
-  task.edge_id = route->id;
-  EnqueueTask(shards_[static_cast<size_t>(route->src_owner)].get(),
-              std::move(task), /*bounded=*/true);
-  if (route->dst_owner != route->src_owner) {
-    ShardTask copy;
-    copy.kind = ShardTask::Kind::kEdge;
-    copy.run_anchors = false;
-    copy.edge = edge;
-    copy.edge_id = route->id;
-    EnqueueTask(shards_[static_cast<size_t>(route->dst_owner)].get(),
-                std::move(copy), /*bounded=*/true);
-  }
-}
-
-void ParallelEngineGroup::EpochFlush() {
-  edges_since_epoch_ = 0;
-  // Drain every queue and everything the exchange spawned, so no in-flight
-  // match still needs a neighbourhood the watermark broadcast may evict.
-  WaitDrained();
-  if (admission_.watermark() <= last_broadcast_watermark_) return;
-  last_broadcast_watermark_ = admission_.watermark();
-  for (auto& shard : shards_) {
-    ShardTask task;
-    task.kind = ShardTask::Kind::kWatermark;
-    task.watermark = admission_.watermark();
-    EnqueueTask(shard.get(), std::move(task), /*bounded=*/false);
+void ParallelEngineGroup::EnqueueTasks(Shard* shard,
+                                       std::span<ShardTask> tasks,
+                                       bool bounded) {
+  size_t appended = 0;
+  while (appended < tasks.size()) {
+    std::unique_lock<std::mutex> lock(shard->mu);
+    size_t take = tasks.size() - appended;
+    if (bounded) {
+      shard->cv_producer.wait(lock, [&] {
+        return shard->queue.size() < kDefaultMaxQueuedEdges;
+      });
+      take = std::min(take, kDefaultMaxQueuedEdges - shard->queue.size());
+    }
+    const bool was_empty = shard->queue.empty();
+    for (size_t i = 0; i < take; ++i) {
+      shard->queue.push_back(std::move(tasks[appended + i]));
+    }
+    appended += take;
+    shard->idle = false;
+    pending_.fetch_add(take);
+    // The worker only sleeps when the queue is empty, so a wakeup is
+    // needed just on the empty -> non-empty transition (it re-checks the
+    // queue after finishing its current swap buffer regardless).
+    if (was_empty) shard->cv_consumer.notify_one();
   }
 }
 
 void ParallelEngineGroup::ProcessEdge(const StreamEdge& edge) {
-  if (mode_ == ShardingMode::kPartitionedData) {
-    PartitionedIngest(edge);
-    if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
+  if (driver_ != nullptr) {
+    SW_CHECK_OK(driver_->Ingest(edge));
     return;
   }
   for (auto& shard : shards_) {
     ShardTask task;
     task.kind = ShardTask::Kind::kEdge;
     task.edge = edge;
-    EnqueueTask(shard.get(), std::move(task), /*bounded=*/true);
+    EnqueueTasks(shard.get(), {&task, 1}, /*bounded=*/true);
   }
 }
 
 void ParallelEngineGroup::ProcessBatch(const EdgeBatch& batch) {
   if (batch.empty()) return;
-  if (mode_ == ShardingMode::kPartitionedData) {
-    for (const StreamEdge& edge : batch) {
-      PartitionedIngest(edge);
-      // One huge batch must not suspend eviction for its whole duration —
-      // keep the same per-kEpochEdges bound the single-edge path has.
-      if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
-    }
-    // The batch boundary is an epoch boundary: exchange drained, watermark
-    // broadcast, expiry advanced consistently on every shard.
-    EpochFlush();
+  if (driver_ != nullptr) {
+    for (const StreamEdge& edge : batch) SW_CHECK_OK(driver_->Ingest(edge));
+    // The batch boundary is an epoch boundary: exchange settled, watermark
+    // committed, expiry advanced consistently on every shard.
+    SW_CHECK_OK(driver_->CloseEpoch());
     return;
   }
+  std::vector<ShardTask> tasks(batch.size());
   for (auto& shard : shards_) {
-    size_t appended = 0;
-    while (appended < batch.size()) {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      shard->cv_producer.wait(lock, [&] {
-        return shard->queue.size() < kMaxQueuedEdges;
-      });
-      const bool was_empty = shard->queue.empty();
-      const size_t room = kMaxQueuedEdges - shard->queue.size();
-      const size_t take = std::min(room, batch.size() - appended);
-      shard->queue.reserve(shard->queue.size() + take);
-      for (size_t i = 0; i < take; ++i) {
-        ShardTask task;
-        task.kind = ShardTask::Kind::kEdge;
-        task.edge = batch[appended + i];
-        shard->queue.push_back(std::move(task));
-      }
-      appended += take;
-      shard->idle = false;
-      pending_.fetch_add(take);
-      if (was_empty) shard->cv_consumer.notify_one();
-    }
+    for (size_t i = 0; i < batch.size(); ++i) tasks[i].edge = batch[i];
+    EnqueueTasks(shard.get(), tasks, /*bounded=*/true);
   }
 }
 
 void ParallelEngineGroup::ExecuteTask(Shard* shard, ShardTask& task) {
   switch (task.kind) {
     case ShardTask::Kind::kEdge:
-      // Rejected edges are counted by the engine; a parallel consumer has
-      // no way to surface per-edge status, matching the callback model.
       if (mode_ == ShardingMode::kBroadcastData) {
-        shard->engine.ProcessEdge(task.edge).ok();
+        // Rejected edges are counted by the engine; a parallel consumer
+        // has no way to surface per-edge status, matching the callback
+        // model.
+        shard->runtime.engine().ProcessEdge(task.edge).ok();
       } else {
-        shard->engine
-            .ProcessShardEdge(task.edge, task.edge_id, task.run_anchors)
-            .ok();
+        shard->runtime.ApplyEdge(task.edge, task.edge_id, task.run_anchors);
       }
       break;
     case ShardTask::Kind::kItem:
-      shard->engine.HandleExchangeItem(*task.item);
+      shard->runtime.ApplyItem(*task.item);
       break;
     case ShardTask::Kind::kWatermark:
-      shard->engine.AdvanceWatermark(task.watermark);
+      shard->runtime.Commit(task.watermark);
       break;
   }
 }
 
-void ParallelEngineGroup::DispatchExchange(Shard* from) {
-  if (from->exchange.empty()) return;
-  auto items = from->exchange.Drain();
+void ParallelEngineGroup::Dispatch(
+    std::vector<std::pair<int, ExchangeItem>> items) {
+  if (items.empty()) return;
   // One lock acquisition per destination: group the batch first.
-  std::vector<std::vector<std::unique_ptr<ExchangeItem>>> per_dest(
-      shards_.size());
+  std::vector<std::vector<ShardTask>> per_dest(shards_.size());
   for (auto& [dest, item] : items) {
-    per_dest[static_cast<size_t>(dest)].push_back(
-        std::make_unique<ExchangeItem>(std::move(item)));
+    ShardTask& task = per_dest[static_cast<size_t>(dest)].emplace_back();
+    task.kind = ShardTask::Kind::kItem;
+    task.item = std::make_unique<ExchangeItem>(std::move(item));
   }
   for (size_t d = 0; d < per_dest.size(); ++d) {
-    if (per_dest[d].empty()) continue;
-    Shard* dst = shards_[d].get();
-    std::unique_lock<std::mutex> lock(dst->mu);
-    const bool was_empty = dst->queue.empty();
-    for (auto& item : per_dest[d]) {
-      ShardTask task;
-      task.kind = ShardTask::Kind::kItem;
-      task.item = std::move(item);
-      dst->queue.push_back(std::move(task));
-    }
-    dst->idle = false;
-    pending_.fetch_add(per_dest[d].size());
-    if (was_empty) dst->cv_consumer.notify_one();
+    EnqueueTasks(shards_[d].get(), per_dest[d], /*bounded=*/false);
   }
 }
 
@@ -432,7 +220,9 @@ void ParallelEngineGroup::WorkerLoop(Shard* shard) {
     }
     // Forward everything the batch produced before retiring it from
     // pending_, so "drained" can never be observed with items in flight.
-    DispatchExchange(shard);
+    if (!shard->runtime.exchange().empty()) {
+      Dispatch(shard->runtime.exchange().Drain());
+    }
     shard->taking.clear();
     {
       std::unique_lock<std::mutex> lock(shard->mu);
@@ -449,24 +239,15 @@ void ParallelEngineGroup::WorkerLoop(Shard* shard) {
 }
 
 void ParallelEngineGroup::Flush() {
-  if (mode_ == ShardingMode::kPartitionedData) {
-    EpochFlush();   // drain + final watermark broadcast
-    WaitDrained();  // drain the watermark tasks themselves
-  } else {
-    WaitDrained();
-  }
-  for (auto& shard : shards_) {
-    auto lock = Quiesce(shard.get());
-  }
+  if (driver_ != nullptr) SW_CHECK_OK(driver_->CloseEpoch());
+  QuiesceAll();
 }
 
 void ParallelEngineGroup::Close() {
   if (closed_) return;
-  if (mode_ == ShardingMode::kPartitionedData) {
-    // Partitioned workers forward to each other; a worker must never exit
-    // while a peer might still send it work, so drain globally first.
-    Flush();
-  }
+  // Partitioned workers forward to each other; a worker must never exit
+  // while a peer might still send it work, so drain globally first.
+  if (driver_ != nullptr) Flush();
   closed_ = true;
   for (auto& shard : shards_) {
     {
@@ -481,38 +262,43 @@ void ParallelEngineGroup::Close() {
 uint64_t ParallelEngineGroup::total_completions() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->engine.metrics().completions;
+    total += shard->runtime.engine().metrics().completions;
   }
   return total;
 }
 
 uint64_t ParallelEngineGroup::total_rejected() const {
-  uint64_t total = group_rejected_;
+  uint64_t total = driver_ != nullptr ? driver_->rejected() : 0;
   for (const auto& shard : shards_) {
-    total += shard->engine.metrics().edges_rejected;
+    total += shard->runtime.engine().metrics().edges_rejected;
   }
   return total;
 }
 
-double ParallelEngineGroup::total_processing_seconds() const {
-  double total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->engine.metrics().processing_seconds;
+std::vector<ShardStatsSnapshot> ParallelEngineGroup::ShardStats() {
+  if (driver_ != nullptr) {
+    auto stats = driver_->Stats();
+    SW_CHECK_OK(stats.status());
+    return std::move(stats).value();
   }
-  return total;
+  QuiesceAll();
+  std::vector<ShardStatsSnapshot> out;
+  out.reserve(shards_.size());
+  for (const auto& shard : shards_) out.push_back(shard->runtime.Stats());
+  return out;
 }
 
 WindowSnapshot ParallelEngineGroup::ExportWindow() {
   QuiesceAll();
-  if (mode_ == ShardingMode::kBroadcastData) {
+  if (driver_ == nullptr) {
     // Every shard retains the identical window and id sequence.
-    return shards_[0]->engine.ExportWindow();
+    return shards_[0]->runtime.engine().ExportWindow();
   }
   WindowSnapshot merged;
-  merged.next_edge_id = admission_.next_edge_id();
-  merged.watermark = admission_.watermark();
+  merged.next_edge_id = driver_->admission().next_edge_id();
+  merged.watermark = driver_->admission().watermark();
   for (auto& shard : shards_) {
-    WindowSnapshot per = shard->engine.ExportWindow();
+    WindowSnapshot per = shard->runtime.engine().ExportWindow();
     merged.edges.insert(merged.edges.end(), per.edges.begin(),
                         per.edges.end());
   }
@@ -535,33 +321,33 @@ Status ParallelEngineGroup::RestoreWindow(const WindowSnapshot& snapshot) {
   QuiesceAll();
   const int n = num_shards();
   for (const PersistedEdge& pe : snapshot.edges) {
-    if (mode_ == ShardingMode::kBroadcastData) {
+    if (driver_ == nullptr) {
       for (auto& shard : shards_) {
-        SW_RETURN_IF_ERROR(shard->engine.RestoreWindowEdge(pe.edge, pe.id));
+        SW_RETURN_IF_ERROR(
+            shard->runtime.engine().RestoreWindowEdge(pe.edge, pe.id));
       }
       continue;
     }
     const int src_owner = partitioner_->OwnerShard(pe.edge.src, n);
     const int dst_owner = partitioner_->OwnerShard(pe.edge.dst, n);
-    SW_RETURN_IF_ERROR(
-        shards_[static_cast<size_t>(src_owner)]->engine.RestoreWindowEdge(
-            pe.edge, pe.id));
+    SW_RETURN_IF_ERROR(shards_[static_cast<size_t>(src_owner)]
+                           ->runtime.engine()
+                           .RestoreWindowEdge(pe.edge, pe.id));
     if (dst_owner != src_owner) {
-      SW_RETURN_IF_ERROR(
-          shards_[static_cast<size_t>(dst_owner)]->engine.RestoreWindowEdge(
-              pe.edge, pe.id));
+      SW_RETURN_IF_ERROR(shards_[static_cast<size_t>(dst_owner)]
+                             ->runtime.engine()
+                             .RestoreWindowEdge(pe.edge, pe.id));
     }
   }
   for (auto& shard : shards_) {
-    shard->engine.FinishWindowRestore(snapshot.next_edge_id,
-                                      snapshot.watermark);
+    shard->runtime.engine().FinishWindowRestore(snapshot.next_edge_id,
+                                                snapshot.watermark);
   }
-  if (mode_ == ShardingMode::kPartitionedData) {
+  if (driver_ != nullptr) {
     // A post-recovery label clash on a retained vertex must be rejected
     // exactly as before the crash.
-    admission_.Restore(snapshot.edges, snapshot.next_edge_id,
-                       snapshot.watermark);
-    last_broadcast_watermark_ = snapshot.watermark;
+    driver_->Restore(snapshot.edges, snapshot.next_edge_id,
+                     snapshot.watermark);
   }
   return OkStatus();
 }
@@ -569,28 +355,101 @@ Status ParallelEngineGroup::RestoreWindow(const WindowSnapshot& snapshot) {
 void ParallelEngineGroup::SetSuppressCompletions(bool suppress) {
   QuiesceAll();
   for (auto& shard : shards_) {
-    shard->engine.set_suppress_completions(suppress);
+    shard->runtime.engine().set_suppress_completions(suppress);
   }
 }
 
-std::vector<ShardStatsSnapshot> ParallelEngineGroup::ShardStats() {
+// --- ShardChannel ------------------------------------------------------------
+
+void ParallelEngineGroup::RouteEdge(int shard, const StreamEdge& edge,
+                                    EdgeId id, bool run_anchors) {
+  ShardTask task;
+  task.kind = ShardTask::Kind::kEdge;
+  task.run_anchors = run_anchors;
+  task.edge = edge;
+  task.edge_id = id;
+  EnqueueTasks(shards_[static_cast<size_t>(shard)].get(), {&task, 1},
+               /*bounded=*/true);
+}
+
+Status ParallelEngineGroup::Settle() {
+  // Workers dispatch whatever their tasks forward, so only the control
+  // thread's own forwards (a registration's backfill) can still sit in an
+  // outbox. Drain them all while quiesced, before any worker wakes up and
+  // touches its outbox again.
   QuiesceAll();
-  std::vector<ShardStatsSnapshot> out;
-  out.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const StreamWorksEngine& engine = shards_[s]->engine;
-    ShardStatsSnapshot snap;
-    snap.shard = static_cast<int>(s);
-    snap.retained_edges = engine.graph().num_stored_edges();
-    snap.retained_vertices = engine.graph().num_vertices();
-    snap.evicted_edges = engine.graph().num_evicted_edges();
-    snap.edges_processed = engine.metrics().edges_processed;
-    snap.completions = engine.metrics().completions;
-    snap.live_partial_matches = engine.total_live_partial_matches();
-    snap.exchange = shards_[s]->exchange.counters();
-    out.push_back(snap);
+  std::vector<std::pair<int, ExchangeItem>> forwarded;
+  for (auto& shard : shards_) {
+    for (auto& routed : shard->runtime.exchange().Drain()) {
+      forwarded.push_back(std::move(routed));
+    }
   }
-  return out;
+  Dispatch(std::move(forwarded));
+  WaitDrained();
+  return OkStatus();
+}
+
+Status ParallelEngineGroup::CommitWatermark(Timestamp watermark) {
+  for (auto& shard : shards_) {
+    ShardTask task;
+    task.kind = ShardTask::Kind::kWatermark;
+    task.watermark = watermark;
+    EnqueueTasks(shard.get(), {&task, 1}, /*bounded=*/false);
+  }
+  return OkStatus();
+}
+
+Status ParallelEngineGroup::RegisterOnShards(int query_id,
+                                             const QueryGraph& query,
+                                             DecompositionStrategy strategy,
+                                             Timestamp window,
+                                             MatchCallback callback) {
+  QuiesceAll();
+  SW_ASSIGN_OR_RETURN(const Decomposition planned,
+                      shards_[0]->runtime.engine().PlanWithCurrentStats(
+                          query, strategy));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    auto registered =
+        shards_[s]->runtime.Register(query, planned, window, callback);
+    // Validation is deterministic: a refusal happens on shard 0, before
+    // any shard registered anything.
+    if (s == 0) SW_RETURN_IF_ERROR(registered.status());
+    SW_CHECK(registered.ok()) << registered.status().ToString();
+    SW_CHECK_EQ(registered.value(), query_id)
+        << "shard registration sequences diverged";
+  }
+  return OkStatus();
+}
+
+Status ParallelEngineGroup::EndBackfill() {
+  QuiesceAll();
+  for (auto& shard : shards_) shard->runtime.EndBackfill();
+  return OkStatus();
+}
+
+Status ParallelEngineGroup::UnregisterOnShards(int query_id) {
+  // Any shard may hold the query's partials and in-flight exchange items
+  // reference it by id, so the whole group quiesces first.
+  QuiesceAll();
+  Status status = OkStatus();
+  for (auto& shard : shards_) {
+    const Status s = shard->runtime.Unregister(query_id);
+    if (!s.ok()) status = s;
+  }
+  return status;
+}
+
+StatusOr<QueryRuntimeInfo> ParallelEngineGroup::ShardInfo(int shard,
+                                                          int query_id) {
+  Shard* s = shards_[static_cast<size_t>(shard)].get();
+  auto lock = Quiesce(s);
+  return s->runtime.Info(query_id);
+}
+
+StatusOr<ShardStatsSnapshot> ParallelEngineGroup::ShardStatsAt(int shard) {
+  Shard* s = shards_[static_cast<size_t>(shard)].get();
+  auto lock = Quiesce(s);
+  return s->runtime.Stats();
 }
 
 }  // namespace streamworks

@@ -5,11 +5,13 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "streamworks/core/engine.h"
-#include "streamworks/graph/edge_admission.h"
+#include "streamworks/core/epoch_driver.h"
+#include "streamworks/core/shard_runtime.h"
 #include "streamworks/graph/partition.h"
 
 namespace streamworks {
@@ -33,18 +35,6 @@ enum class ShardingMode {
   kPartitionedData,
 };
 
-/// Point-in-time per-shard load/traffic counters (call sites: ShardStats).
-struct ShardStatsSnapshot {
-  int shard = 0;
-  uint64_t retained_edges = 0;    ///< Edges currently stored in the window.
-  uint64_t retained_vertices = 0;
-  uint64_t evicted_edges = 0;
-  uint64_t edges_processed = 0;   ///< Ingested copies (not group-unique).
-  uint64_t completions = 0;       ///< Matches this shard delivered.
-  uint64_t live_partial_matches = 0;
-  ExchangeCounters exchange;      ///< All zero in broadcast mode.
-};
-
 /// Multi-core query execution (the paper's demo ran many concurrent
 /// queries on a 48-core shared-memory node): N worker threads, each owning
 /// a private StreamWorksEngine, fed through bounded per-shard queues.
@@ -63,13 +53,16 @@ struct ShardStatsSnapshot {
 /// Process*/Flush/Close) come from one control thread. Close() (or
 /// destruction) drains the queues and joins the workers.
 ///
-/// Partitioned-mode ingest runs in *epochs*: every ProcessBatch (and every
-/// kEpochEdges single edges) ends with a barrier that drains the exchange,
-/// then broadcasts the group watermark so window expiry advances
-/// consistently on every shard — a shard holding only old vertices would
-/// otherwise never see a new edge and never expire, and eager local expiry
-/// could race ahead of forwarded matches still needing old neighbourhoods.
-class ParallelEngineGroup {
+/// Partitioned mode is the in-process ShardChannel under the shared
+/// EpochDriver (the cluster's DistributedBackend is the other): the driver
+/// admits and routes edges, cuts an epoch every kDefaultEpochEdges
+/// admitted edges and at every ProcessBatch end, settles the exchange and
+/// commits the group watermark, so window expiry advances consistently on
+/// every shard — a shard holding only old vertices would otherwise never
+/// see a new edge and never expire, and eager local expiry could race
+/// ahead of forwarded matches still needing old neighbourhoods. Each
+/// shard thread drives one ShardRuntime.
+class ParallelEngineGroup : private ShardChannel {
  public:
   /// Creates `num_shards` workers configured with `options`. In
   /// kPartitionedData mode, `partitioner` picks vertex ownership (null =
@@ -138,11 +131,6 @@ class ParallelEngineGroup {
   /// broadcast mode every shard rejects its own copy.
   uint64_t total_rejected() const;
 
-  /// Sum of per-shard engine processing time (call after Flush). With N
-  /// shards this can exceed wall-clock time; wall / (this / N) measures
-  /// pipeline efficiency.
-  double total_processing_seconds() const;
-
   /// Per-shard retained-memory and exchange-traffic counters (quiesces the
   /// group). The partitioned-vs-broadcast memory claim is measured from
   /// exactly this: retained_edges per shard drops from O(total) to
@@ -184,11 +172,12 @@ class ParallelEngineGroup {
   };
 
   struct Shard {
-    Shard(Interner* interner, EngineOptions options)
-        : engine(interner, options) {}
+    Shard(Interner* interner, EngineOptions options, int index,
+          int num_shards, const Partitioner* partitioner)
+        : runtime(interner, options, index, num_shards, partitioner) {}
 
-    StreamWorksEngine engine;
-    MatchExchange exchange;  ///< Worker-owned outbox (control during quiesce).
+    /// Worker-owned; the control thread touches it only while quiesced.
+    ShardRuntime runtime;
     std::thread worker;
     std::mutex mu;
     std::condition_variable cv_producer;
@@ -202,16 +191,16 @@ class ParallelEngineGroup {
   void WorkerLoop(Shard* shard);
   void ExecuteTask(Shard* shard, ShardTask& task);
 
-  /// Moves the shard's freshly forwarded exchange items onto their
-  /// destination queues, one lock acquisition per destination (worker
-  /// thread; the batching half of "batched, epoch-flushed").
-  void DispatchExchange(Shard* from);
+  /// Moves drained exchange items onto their destination queues, one lock
+  /// acquisition per destination (the batching half of "batched,
+  /// epoch-flushed").
+  void Dispatch(std::vector<std::pair<int, ExchangeItem>> items);
 
-  /// Enqueues one task. `bounded` waits for queue room (ingest
-  /// backpressure); exchange and watermark tasks never wait — a forwarding
-  /// worker that blocked on a full peer queue could deadlock with a peer
-  /// forwarding back.
-  void EnqueueTask(Shard* shard, ShardTask task, bool bounded);
+  /// Moves `tasks` onto the shard's queue, one lock acquisition per
+  /// chunk. `bounded` waits for queue room (ingest backpressure); exchange
+  /// and watermark tasks never wait — a forwarding worker that blocked on
+  /// a full peer queue could deadlock with a peer forwarding back.
+  void EnqueueTasks(Shard* shard, std::span<ShardTask> tasks, bool bounded);
 
   /// Blocks until every queued task — including everything the exchange
   /// spawned transitively — has been executed.
@@ -219,38 +208,35 @@ class ParallelEngineGroup {
 
   /// Waits (holding shard->mu, which is returned locked) until the shard's
   /// queue is drained and its worker is parked, so the caller may touch
-  /// shard->engine directly.
+  /// shard->runtime directly.
   std::unique_lock<std::mutex> Quiesce(Shard* shard);
 
   /// WaitDrained + every worker parked: the control thread may touch any
-  /// shard's engine/exchange until it enqueues new work.
+  /// shard's runtime until it enqueues new work.
   void QuiesceAll();
-
-  // --- Partitioned-mode internals (control thread only) ---------------------
-  void PartitionedIngest(const StreamEdge& edge);
-  /// Drains everything, then broadcasts the group watermark so shards
-  /// evict and expire consistently.
-  void EpochFlush();
-  /// Control-thread fixpoint over the shard outboxes (used while quiesced:
-  /// distributed backfill of a mid-stream registration).
-  void PumpExchange();
-  /// Plans once for the whole group against shard 0's statistics.
-  StatusOr<Decomposition> PlanForGroup(const QueryGraph& query,
-                                       DecompositionStrategy strategy) const;
-  /// Distributed, completion-suppressed window replay for a mid-stream
-  /// registration (all shards quiesced).
-  void BackfillQueryDistributed(int query_id);
 
   /// Splits a broadcast-mode group query id into (shard, local id).
   Status ResolveGroupId(int group_query_id, int* shard_index,
                         int* local_id) const;
 
-  static constexpr size_t kMaxQueuedEdges = 32768;
-  /// Single-edge ingest runs an epoch barrier at least this often.
-  static constexpr int kEpochEdges = 1024;
+  // --- ShardChannel (partitioned mode; control thread) ----------------------
+  void RouteEdge(int shard, const StreamEdge& edge, EdgeId id,
+                 bool run_anchors) override;
+  /// Dispatches the outboxes the control thread filled (a registration's
+  /// backfill), then waits until everything has drained.
+  Status Settle() override;
+  Status CommitWatermark(Timestamp watermark) override;
+  /// Plans once for the whole group against shard 0's statistics: the
+  /// replicated trees must agree on node numbering and cut vertices.
+  Status RegisterOnShards(int query_id, const QueryGraph& query,
+                          DecompositionStrategy strategy, Timestamp window,
+                          MatchCallback callback) override;
+  Status EndBackfill() override;
+  Status UnregisterOnShards(int query_id) override;
+  StatusOr<QueryRuntimeInfo> ShardInfo(int shard, int query_id) override;
+  StatusOr<ShardStatsSnapshot> ShardStatsAt(int shard) override;
 
   ShardingMode mode_;
-  EngineOptions options_;
   HashModuloPartitioner default_partitioner_;
   const Partitioner* partitioner_;
 
@@ -264,11 +250,8 @@ class ParallelEngineGroup {
   std::mutex drained_mu_;
   std::condition_variable drained_cv_;
 
-  // Partitioned ingest state (control thread only).
-  EdgeAdmission admission_;
-  Timestamp last_broadcast_watermark_ = -1;
-  int edges_since_epoch_ = 0;
-  uint64_t group_rejected_ = 0;  ///< Edges admission refused.
+  /// Partitioned mode's group side; null in broadcast mode.
+  std::unique_ptr<EpochDriver> driver_;
 };
 
 }  // namespace streamworks

@@ -11,8 +11,8 @@
 
 namespace streamworks {
 
-/// Group-level admission of vertex-partitioned ingest, shared by the
-/// in-process ParallelEngineGroup and the cluster's DistributedBackend.
+/// Group-level admission of vertex-partitioned ingest, run by the
+/// EpochDriver under both sharded paths.
 ///
 /// Shards see only the edges incident to their owned vertices, so an
 /// endpoint-label clash the owner shard would reject could slip into the

@@ -144,7 +144,8 @@ bool PeerLink::HasBufferedFrame() const {
   return rbuf_.size() >= kCtrlFrameHeaderBytes + body_len;
 }
 
-StatusOr<CtrlFrame> PeerLink::ReadFrame(Interner* interner, int timeout_ms) {
+StatusOr<CtrlFrame> PeerLink::ReadFrame(Interner* interner, int timeout_ms,
+                                        std::string* raw) {
   Timer timer;
   for (;;) {
     const CtrlDecodeResult decoded =
@@ -152,6 +153,7 @@ StatusOr<CtrlFrame> PeerLink::ReadFrame(Interner* interner, int timeout_ms) {
     switch (decoded.status) {
       case FrameDecodeStatus::kOk: {
         CtrlFrame frame = std::move(decoded.frame);
+        if (raw != nullptr) raw->assign(rbuf_, 0, decoded.frame_bytes);
         rbuf_.erase(0, decoded.frame_bytes);
         return frame;
       }

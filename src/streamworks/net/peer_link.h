@@ -55,7 +55,9 @@ class PeerLink {
   /// a "link read timed out" Unavailable error. EOF and malformed bytes
   /// are errors too — the control plane has no resync story by design
   /// (a desynchronized peer must reconnect and handshake).
-  StatusOr<CtrlFrame> ReadFrame(Interner* interner, int timeout_ms);
+  /// When `raw` is set it receives the frame's bytes as they arrived.
+  StatusOr<CtrlFrame> ReadFrame(Interner* interner, int timeout_ms,
+                                std::string* raw = nullptr);
 
   /// True if a whole frame is already buffered (ReadFrame would not
   /// touch the socket).

@@ -80,12 +80,18 @@ Status ParallelGroupBackend::FeedBatch(const EdgeBatch& batch,
 }
 
 std::vector<ShardLoadSnapshot> ParallelGroupBackend::ShardLoads() {
-  const std::string sharding =
-      (group_->mode() == ShardingMode::kPartitionedData
-           ? "partitioned/" + group_->partitioner().name()
-           : "broadcast");
+  return ToShardLoads(group_->ShardStats(),
+                      group_->mode() == ShardingMode::kPartitionedData
+                          ? "partitioned/" + group_->partitioner().name()
+                          : "broadcast");
+}
+
+std::vector<ShardLoadSnapshot> ToShardLoads(
+    const std::vector<ShardStatsSnapshot>& stats,
+    const std::string& sharding) {
   std::vector<ShardLoadSnapshot> out;
-  for (const ShardStatsSnapshot& s : group_->ShardStats()) {
+  out.reserve(stats.size());
+  for (const ShardStatsSnapshot& s : stats) {
     ShardLoadSnapshot load;
     load.shard = s.shard;
     load.sharding = sharding;

@@ -1,6 +1,7 @@
 #ifndef STREAMWORKS_SERVICE_BACKEND_H_
 #define STREAMWORKS_SERVICE_BACKEND_H_
 
+#include <string>
 #include <vector>
 
 #include "streamworks/core/engine.h"
@@ -75,6 +76,10 @@ class QueryBackend {
   /// completions the crashed incarnation already emitted.
   virtual void SetSuppressCompletions(bool suppress) { (void)suppress; }
 };
+
+/// Per-shard counters as ServiceMetrics load rows tagged `sharding`.
+std::vector<ShardLoadSnapshot> ToShardLoads(
+    const std::vector<ShardStatsSnapshot>& stats, const std::string& sharding);
 
 /// In-process, single-threaded deployment: every query on one engine,
 /// callbacks fire synchronously inside Feed.

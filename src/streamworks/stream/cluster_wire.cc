@@ -1,9 +1,9 @@
 #include "streamworks/stream/cluster_wire.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "streamworks/common/binio.h"
 #include "streamworks/common/str_util.h"
@@ -13,470 +13,536 @@ namespace streamworks {
 
 namespace {
 
-// --- Encode helpers ----------------------------------------------------------
-
-/// Wraps a finished body (type byte + payload) into a framed message.
-std::string FinishFrame(std::string body) {
-  std::string frame;
-  frame.reserve(kCtrlFrameHeaderBytes + body.size());
-  frame.append(kCtrlFrameMagic, sizeof(kCtrlFrameMagic));
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
-  return frame;
-}
-
-std::string BodyFor(CtrlType type) {
-  std::string body;
-  body.push_back(static_cast<char>(type));
-  return body;
-}
+// Each payload's layout is written once, as a Layout* function over an Io
+// that is either a Writer (appends each field) or a Reader (reads each
+// field back, bounds-checked). The Reader alone enforces the checks that
+// keep hostile bytes from over-reading or over-allocating; the Writer
+// accepts them as true.
 
 void PutString(std::string* out, std::string_view s) {
   PutU16(out, static_cast<uint16_t>(s.size()));
   out->append(s);
 }
 
-/// First-seen-order label table over a frame's label ids (FEEDB's scheme:
-/// a handful of distinct labels per frame, so linear scan beats a map).
-class LabelTable {
- public:
-  explicit LabelTable(const LabelNameFn& name) : name_(name) {}
+/// Frames whose labels travel as indexes into a per-frame string table
+/// (FEEDB's scheme) placed between the type byte and the payload.
+bool HasLabelTable(CtrlType type) {
+  return type == CtrlType::kBatch || type == CtrlType::kExchange ||
+         type == CtrlType::kCompletion;
+}
 
-  uint32_t IndexOf(LabelId id) {
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      if (ids_[i] == id) return static_cast<uint32_t>(i);
-    }
-    ids_.push_back(id);
-    return static_cast<uint32_t>(ids_.size() - 1);
+/// Appends one frame's payload.
+class Writer {
+ public:
+  explicit Writer(const LabelNameFn* label_name = nullptr)
+      : label_name_(label_name) {}
+
+  void U8(uint8_t v, std::string_view) {
+    payload_.push_back(static_cast<char>(v));
+  }
+  void U16(uint16_t v, std::string_view) { PutU16(&payload_, v); }
+  void U32(uint32_t v, std::string_view) { PutU32(&payload_, v); }
+  void U64(uint64_t v, std::string_view) { PutU64(&payload_, v); }
+  void I32(int32_t v, std::string_view) {
+    PutU32(&payload_, static_cast<uint32_t>(v));
+  }
+  void I64(int64_t v, std::string_view) { PutI64(&payload_, v); }
+  void F64(double v, std::string_view) {
+    PutU64(&payload_, std::bit_cast<uint64_t>(v));
+  }
+  void Bool(bool v, std::string_view) { payload_.push_back(v ? 1 : 0); }
+  void String(std::string_view v, std::string_view) {
+    PutString(&payload_, v);
+  }
+  template <typename E>
+  void Enum(E v, E /*max*/, std::string_view) {
+    payload_.push_back(static_cast<char>(v));
+  }
+  /// Labels are numbered in first-seen order (a handful of distinct
+  /// labels per frame, so linear scan beats a map).
+  void Label(LabelId id, std::string_view) {
+    const auto it = std::find(labels_.begin(), labels_.end(), id);
+    PutU32(&payload_, static_cast<uint32_t>(it - labels_.begin()));
+    if (it == labels_.end()) labels_.push_back(id);
+  }
+  /// The CRC trailer: a CRC-32 over the payload written so far.
+  void Crc(std::string_view) {
+    PutU32(&payload_, Crc32(payload_.data(), payload_.size()));
   }
 
-  void Encode(std::string* out) const {
-    PutU32(out, static_cast<uint32_t>(ids_.size()));
-    for (LabelId id : ids_) PutString(out, name_(id));
+  template <typename V>
+  void Resize(const V&, size_t) {}
+  bool Require(bool, std::string_view) { return true; }
+  bool Records(size_t, size_t, std::string_view) { return true; }
+  bool Bounded(size_t, size_t, std::string_view) { return true; }
+  bool CheckCrc() { return true; }
+  bool ok() const { return true; }
+
+  /// The whole framed message: magic, body length, type byte, the label
+  /// table when the type carries one, then the payload.
+  std::string Finish(CtrlType type) const {
+    std::string body;
+    body.push_back(static_cast<char>(type));
+    if (HasLabelTable(type)) {
+      PutU32(&body, static_cast<uint32_t>(labels_.size()));
+      for (LabelId id : labels_) PutString(&body, (*label_name_)(id));
+    }
+    body.append(payload_);
+    std::string frame;
+    frame.reserve(kCtrlFrameHeaderBytes + body.size());
+    frame.append(kCtrlFrameMagic, sizeof(kCtrlFrameMagic));
+    PutU32(&frame, static_cast<uint32_t>(body.size()));
+    frame.append(body);
+    return frame;
   }
 
  private:
-  const LabelNameFn& name_;
-  std::vector<LabelId> ids_;
+  const LabelNameFn* label_name_;
+  std::vector<LabelId> labels_;
+  std::string payload_;
 };
 
-void EncodeWireMatch(std::string* out, const WireMatch& match,
-                     LabelTable* table) {
-  out->push_back(static_cast<char>(match.vertices.size()));
-  for (const WireVertexBinding& v : match.vertices) {
-    out->push_back(static_cast<char>(v.qv));
-    PutU64(out, v.vertex);
-    PutU32(out, table->IndexOf(v.label));
+/// Bounds-checked little-endian reader over one frame body. Every read
+/// fails closed: once `ok` drops the cursor stops moving and fields read
+/// as zero, so a layout can read a whole payload and check ok once.
+class Reader {
+ public:
+  Reader(const char* begin, const char* stop) : p_(begin), end_(stop) {}
+
+  void U8(uint8_t& v, std::string_view what) {
+    v = Need(1, what) ? static_cast<uint8_t>(*p_++) : 0;
   }
-  out->push_back(static_cast<char>(match.edges.size()));
-  for (const WireEdgeBinding& e : match.edges) {
-    out->push_back(static_cast<char>(e.qe));
-    PutU64(out, e.edge);
-    PutI64(out, e.ts);
+  void U16(uint16_t& v, std::string_view what) { Get(v, what); }
+  void U32(uint32_t& v, std::string_view what) { Get(v, what); }
+  void U64(uint64_t& v, std::string_view what) { Get(v, what); }
+  void I32(int32_t& v, std::string_view what) {
+    uint32_t u;
+    Get(u, what);
+    v = static_cast<int32_t>(u);
   }
-}
+  void I64(int64_t& v, std::string_view what) {
+    uint64_t u;
+    Get(u, what);
+    v = static_cast<int64_t>(u);
+  }
+  void F64(double& v, std::string_view what) {
+    uint64_t u;
+    Get(u, what);
+    v = std::bit_cast<double>(u);
+  }
+  void Bool(bool& v, std::string_view what) {
+    uint8_t u;
+    U8(u, what);
+    v = u != 0;
+  }
+  void String(std::string& v, std::string_view what) {
+    uint16_t len;
+    U16(len, what);
+    v = std::string(Bytes(len, what));
+  }
+  template <typename E>
+  void Enum(E& v, E max, std::string_view what) {
+    uint8_t u;
+    U8(u, what);
+    if (u > static_cast<uint8_t>(max)) {
+      Fail(StrCat(what, " out of range"));
+      return;
+    }
+    v = static_cast<E>(u);
+  }
+  void Label(LabelId& v, std::string_view what) {
+    uint32_t index;
+    U32(index, what);
+    if (index >= labels_.size()) {
+      Fail("label index out of string-table range");
+      v = kInvalidLabelId;
+      return;
+    }
+    v = labels_[index];
+  }
+  void Crc(std::string_view what) {
+    uint32_t crc;
+    U32(crc, what);  // verified up front by CheckCrc
+  }
 
-// --- Decode helpers ----------------------------------------------------------
+  /// Sizes a vector for `n` elements about to be read (n already bounded).
+  template <typename V>
+  void Resize(V& v, size_t n) {
+    v.resize(n);
+  }
+  /// Fails with `why` unless `cond`; false once anything failed.
+  bool Require(bool cond, std::string_view why) {
+    if (ok_ && !cond) Fail(why);
+    return ok_;
+  }
+  /// `n` records of exactly `bytes` each must fill the rest of the body.
+  bool Records(size_t n, size_t bytes, std::string_view why) {
+    return Require(!ok_ || remaining() == n * bytes, why);
+  }
+  /// `n` items of at least `min_bytes` each must fit in the rest of the
+  /// body — checked before anything is reserved for them.
+  bool Bounded(size_t n, size_t min_bytes, std::string_view why) {
+    return Require(!ok_ || n <= remaining() / min_bytes, why);
+  }
+  /// Verifies a trailing CRC-32 over the rest of the payload before any
+  /// field is trusted: a payload that decodes but lies (one flipped
+  /// histogram bucket) would otherwise skew every federated series.
+  bool CheckCrc() {
+    if (!Require(remaining() >= 4, "metrics report shorter than its CRC")) {
+      return false;
+    }
+    const size_t len = remaining() - 4;
+    return Require(Crc32(p_, len) == GetU32(p_ + len),
+                   "metrics report CRC mismatch");
+  }
 
-/// Bounds-checked little-endian reader over one frame body. Every getter
-/// fails closed: once `ok` drops the cursor stops moving and returns
-/// zeros, so decoders can read a whole payload and check ok once.
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-  std::string err;
+  /// Decodes a frame-local label table, interning each entry once.
+  void LabelTable(Interner* interner) {
+    uint32_t n;
+    U32(n, "string-table count");
+    // Each entry costs at least its u16 length.
+    if (!Bounded(n, 2, "string-table count exceeds body")) return;
+    labels_.reserve(n);
+    for (uint32_t i = 0; i < n && ok_; ++i) {
+      uint16_t len;
+      U16(len, "string length");
+      const std::string_view bytes = Bytes(len, "string bytes");
+      if (ok_) labels_.push_back(interner->Intern(bytes));
+    }
+  }
 
-  Reader(const char* begin, const char* stop) : p(begin), end(stop) {}
+  void Fail(std::string_view why) {
+    if (ok_) {
+      ok_ = false;
+      err_ = std::string(why);
+    }
+  }
+  bool ok() const { return ok_; }
+  const std::string& err() const { return err_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
+ private:
   bool Need(size_t n, std::string_view what) {
-    if (!ok) return false;
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      err = StrCat("truncated ", what);
+    if (!ok_) return false;
+    if (remaining() < n) {
+      ok_ = false;
+      err_ = StrCat("truncated ", what);
       return false;
     }
     return true;
   }
-
-  void Fail(std::string_view why) {
-    if (ok) {
-      ok = false;
-      err = std::string(why);
+  template <typename T>
+  void Get(T& v, std::string_view what) {
+    if (!Need(sizeof(T), what)) {
+      v = 0;
+      return;
     }
-  }
-
-  uint8_t U8(std::string_view what) {
-    if (!Need(1, what)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16(std::string_view what) {
-    if (!Need(2, what)) return 0;
-    const uint16_t v = GetU16(p);
-    p += 2;
-    return v;
-  }
-  uint32_t U32(std::string_view what) {
-    if (!Need(4, what)) return 0;
-    const uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64(std::string_view what) {
-    if (!Need(8, what)) return 0;
-    const uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  int32_t I32(std::string_view what) {
-    return static_cast<int32_t>(U32(what));
-  }
-  int64_t I64(std::string_view what) {
-    return static_cast<int64_t>(U64(what));
+    v = GetLe<T>(p_);
+    p_ += sizeof(T);
   }
   std::string_view Bytes(size_t n, std::string_view what) {
     if (!Need(n, what)) return {};
-    const std::string_view v(p, n);
-    p += n;
+    const std::string_view v(p_, n);
+    p_ += n;
     return v;
   }
-  std::string String(std::string_view what) {
-    const uint16_t len = U16(what);
-    return std::string(Bytes(len, what));
-  }
-  size_t remaining() const { return static_cast<size_t>(end - p); }
+
+  const char* p_;
+  const char* end_;
+  bool ok_ = true;
+  std::string err_;
+  std::vector<LabelId> labels_;
 };
 
-/// Decodes a frame-local label table, interning each entry once.
-std::vector<LabelId> DecodeLabelTable(Reader* r, Interner* interner) {
-  std::vector<LabelId> labels;
-  const uint32_t n = r->U32("string-table count");
-  if (!r->ok) return labels;
-  // Each entry costs at least its u16 length, so a count beyond
-  // remaining/2 is a lie — reject before reserving.
-  if (n > r->remaining() / 2) {
-    r->Fail("string-table count exceeds body");
-    return labels;
-  }
-  labels.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint16_t len = r->U16("string length");
-    const std::string_view bytes = r->Bytes(len, "string bytes");
-    if (!r->ok) return labels;
-    labels.push_back(interner->Intern(bytes));
-  }
-  return labels;
+// --- Layouts (the Io parameter is a Writer or a Reader) ----------------------
+
+void LayoutHello(auto& io, auto& h) {
+  io.U32(h.protocol, "hello protocol");
+  io.I32(h.num_shards, "hello num_shards");
+  io.I32(h.shard_index, "hello shard_index");
+  io.U64(h.partitioner_seed, "hello seed");
+  io.U64(h.exchange_items_received, "hello exchange cursor");
+  io.U64(h.completions_received, "hello completion cursor");
 }
 
-LabelId TableLabel(Reader* r, const std::vector<LabelId>& table,
-                   uint32_t index) {
-  if (index >= table.size()) {
-    r->Fail("label index out of string-table range");
-    return kInvalidLabelId;
+void LayoutRegister(auto& io, auto& reg) {
+  io.I32(reg.expect_id, "register id");
+  io.U8(reg.strategy, "register strategy");
+  io.I64(reg.window, "register window");
+  io.String(reg.name, "register name");
+  uint8_t nv = static_cast<uint8_t>(reg.vertex_labels.size());
+  uint8_t ne = static_cast<uint8_t>(reg.edges.size());
+  io.U8(nv, "register vertex count");
+  io.U8(ne, "register edge count");
+  if (!io.Require(nv <= kMaxQuerySize && ne <= kMaxQuerySize,
+                  "register query exceeds the query-size bound")) {
+    return;
   }
-  return table[index];
+  io.Resize(reg.vertex_labels, nv);
+  for (auto& label : reg.vertex_labels) {
+    io.String(label, "register vertex label");
+  }
+  io.Resize(reg.edges, ne);
+  for (auto& e : reg.edges) {
+    io.U8(e.src, "register edge src");
+    io.U8(e.dst, "register edge dst");
+    io.String(e.label, "register edge label");
+    if (!io.Require(e.src < nv && e.dst < nv,
+                    "register edge endpoint out of range")) {
+      return;
+    }
+  }
 }
 
-WireMatch DecodeWireMatch(Reader* r, const std::vector<LabelId>& table) {
-  WireMatch match;
-  const uint8_t nv = r->U8("match vertex count");
-  if (nv > kMaxQuerySize) {
-    r->Fail("match vertex count exceeds the query-size bound");
-    return match;
-  }
-  match.vertices.reserve(nv);
-  for (uint8_t i = 0; i < nv && r->ok; ++i) {
-    WireVertexBinding v;
-    v.qv = r->U8("vertex binding qv");
-    v.vertex = r->U64("vertex binding external id");
-    v.label = TableLabel(r, table, r->U32("vertex binding label"));
-    if (v.qv >= kMaxQuerySize) r->Fail("vertex binding qv out of range");
-    match.vertices.push_back(v);
-  }
-  const uint8_t ne = r->U8("match edge count");
-  if (ne > kMaxQuerySize) {
-    r->Fail("match edge count exceeds the query-size bound");
-    return match;
-  }
-  match.edges.reserve(ne);
-  for (uint8_t i = 0; i < ne && r->ok; ++i) {
-    WireEdgeBinding e;
-    e.qe = r->U8("edge binding qe");
-    e.edge = r->U64("edge binding id");
-    e.ts = r->I64("edge binding ts");
-    if (e.qe >= kMaxQuerySize) r->Fail("edge binding qe out of range");
-    match.edges.push_back(e);
-  }
-  return match;
+void LayoutRegisterAck(auto& io, auto& ack) {
+  io.I32(ack.id, "register-ack id");
+  io.Bool(ack.ok, "register-ack ok");
+  io.String(ack.error, "register-ack error");
 }
 
 constexpr size_t kBatchRecordBytes = 8 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
 
-void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
+void LayoutBatch(auto& io, auto& batch) {
+  uint32_t n = static_cast<uint32_t>(batch.edges.size());
+  io.U32(n, "batch edge count");
+  if (!io.Records(n, kBatchRecordBytes,
+                  "body length does not match batch edge records")) {
+    return;
+  }
+  io.Resize(batch.edges, n);
+  for (auto& se : batch.edges) {
+    io.U64(se.global_id, "batch edge gid");
+    io.U64(se.edge.src, "batch edge src");
+    io.U64(se.edge.dst, "batch edge dst");
+    io.Label(se.edge.src_label, "batch src label");
+    io.Label(se.edge.dst_label, "batch dst label");
+    io.Label(se.edge.edge_label, "batch edge label");
+    io.I64(se.edge.ts, "batch edge ts");
+    io.Bool(se.run_anchors, "batch anchor bit");
+  }
+}
+
+void LayoutMatch(auto& io, auto& match) {
+  uint8_t nv = static_cast<uint8_t>(match.vertices.size());
+  io.U8(nv, "match vertex count");
+  if (!io.Require(nv <= kMaxQuerySize,
+                  "match vertex count exceeds the query-size bound")) {
+    return;
+  }
+  io.Resize(match.vertices, nv);
+  for (auto& v : match.vertices) {
+    io.U8(v.qv, "vertex binding qv");
+    io.U64(v.vertex, "vertex binding external id");
+    io.Label(v.label, "vertex binding label");
+    if (!io.Require(v.qv < kMaxQuerySize, "vertex binding qv out of range")) {
+      return;
+    }
+  }
+  uint8_t ne = static_cast<uint8_t>(match.edges.size());
+  io.U8(ne, "match edge count");
+  if (!io.Require(ne <= kMaxQuerySize,
+                  "match edge count exceeds the query-size bound")) {
+    return;
+  }
+  io.Resize(match.edges, ne);
+  for (auto& e : match.edges) {
+    io.U8(e.qe, "edge binding qe");
+    io.U64(e.edge, "edge binding id");
+    io.I64(e.ts, "edge binding ts");
+    if (!io.Require(e.qe < kMaxQuerySize, "edge binding qe out of range")) {
+      return;
+    }
+  }
+}
+
+template <typename Io, typename Items>
+void LayoutExchangeItems(Io& io, Items& items) {
+  uint32_t n = static_cast<uint32_t>(items.size());
+  io.U32(n, "exchange item count");
+  // An item costs at least its fixed header.
+  constexpr size_t kMinItemBytes = 4 + 1 + 4 + 4 + 4 + 4 + 1 + 1;
+  if (!io.Bounded(n, kMinItemBytes, "exchange item count exceeds body")) {
+    return;
+  }
+  io.Resize(items, n);
+  for (auto& ci : items) {
+    io.I32(ci.dest, "exchange dest");
+    io.Enum(ci.item.kind, ExchangeKind::kComplete, "exchange kind");
+    io.I32(ci.item.query_id, "exchange query id");
+    io.U32(ci.item.plan, "exchange plan");
+    io.I32(ci.item.step, "exchange step");
+    io.I32(ci.item.node, "exchange node");
+    LayoutMatch(io, ci.item.match);
+    if (!io.ok()) return;
+  }
+}
+
+void LayoutCompletion(auto& io, auto& completion) {
+  io.I32(completion.query_id, "completion query id");
+  io.I64(completion.completed_at, "completion ts");
+  LayoutMatch(io, completion.match);
+}
+
+void LayoutInfoAck(auto& io, auto& ack) {
+  io.Bool(ack.ok, "info-ack ok");
+  io.String(ack.error, "info-ack error");
+  io.String(ack.name, "info-ack name");
+  io.I64(ack.window, "info-ack window");
+  io.U64(ack.completions, "info-ack completions");
+  io.U64(ack.live_partial_matches, "info-ack live");
+  io.U64(ack.peak_partial_matches, "info-ack peak");
+  uint32_t n = static_cast<uint32_t>(ack.nodes.size());
+  io.U32(n, "info-ack node count");
+  constexpr size_t kNodeBytes = 4 + 1 + 4 + 5 * 8;
+  if (!io.Records(n, kNodeBytes,
+                  "body length does not match info-ack node records")) {
+    return;
+  }
+  io.Resize(ack.nodes, n);
+  for (auto& node : ack.nodes) {
+    io.I32(node.node, "info-ack node id");
+    io.Bool(node.is_leaf, "info-ack node leaf");
+    io.I32(node.query_edges, "info-ack node edges");
+    io.U64(node.matches_inserted, "info-ack node inserted");
+    io.U64(node.probes, "info-ack node probes");
+    io.U64(node.join_attempts, "info-ack node attempts");
+    io.U64(node.joins_succeeded, "info-ack node joins");
+    io.U64(node.live_partial_matches, "info-ack node live");
+  }
+}
+
+void LayoutStatsAck(auto& io, auto& ack) {
+  io.U64(ack.retained_edges, "stats retained edges");
+  io.U64(ack.retained_vertices, "stats retained vertices");
+  io.U64(ack.evicted_edges, "stats evicted");
+  io.U64(ack.edges_processed, "stats processed");
+  io.U64(ack.completions, "stats completions");
+  io.U64(ack.live_partial_matches, "stats live");
+  io.U64(ack.exchange.sent_expansions, "stats sent expansions");
+  io.U64(ack.exchange.sent_inserts, "stats sent inserts");
+  io.U64(ack.exchange.sent_completions, "stats sent completions");
+  io.U64(ack.exchange.received_expansions, "stats recv expansions");
+  io.U64(ack.exchange.received_inserts, "stats recv inserts");
+  io.U64(ack.exchange.received_completions, "stats recv completions");
+}
+
+// Histograms travel as sparse buckets: (index, count) pairs in strictly
+// ascending index order, then the value sum.
+void LayoutHistogram(Writer& w, const Histogram& h) {
+  uint8_t occupied = 0;
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+    if (h.bucket_count(b) != 0) ++occupied;
+  }
+  w.U8(occupied, {});
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+    if (h.bucket_count(b) == 0) continue;
+    w.U8(static_cast<uint8_t>(b), {});
+    w.U64(h.bucket_count(b), {});
+  }
+  w.U64(h.sum(), {});
+}
+
+void LayoutHistogram(Reader& r, Histogram& h) {
+  uint8_t nb;
+  r.U8(nb, "metrics histogram bucket count");
+  if (!r.Require(nb <= Histogram::kNumBuckets,
+                 "metrics histogram bucket count out of range")) {
+    return;
+  }
+  std::array<uint64_t, Histogram::kNumBuckets> counts{};
+  int last = -1;
+  for (uint8_t b = 0; b < nb && r.ok(); ++b) {
+    uint8_t index;
+    r.U8(index, "metrics histogram bucket index");
+    if (!r.Require(index < Histogram::kNumBuckets && index > last,
+                   "metrics histogram bucket index out of order")) {
+      return;
+    }
+    last = index;
+    r.U64(counts[index], "metrics histogram bucket value");
+  }
+  uint64_t sum;
+  r.U64(sum, "metrics histogram sum");
+  h = Histogram::FromBuckets(counts, sum);
+}
+
+/// The one payload with a CRC-32 trailer (see CtrlMetricsReport).
+void LayoutMetricsReport(auto& io, auto& rep) {
+  if (!io.CheckCrc()) return;
+  io.U64(rep.wal_seq, "metrics wal seq");
+  io.U64(rep.replayed_frames, "metrics replayed");
+  io.U64(rep.exchange_items_sent, "metrics exchange sent");
+  io.U64(rep.completions_sent, "metrics completions sent");
+  uint32_t n = static_cast<uint32_t>(rep.samples.size());
+  io.U32(n, "metrics sample count");
+  // A sample costs at least kind + three u16 lengths.
+  if (!io.Bounded(n, 7, "metrics sample count exceeds body")) return;
+  io.Resize(rep.samples, n);
+  for (auto& s : rep.samples) {
+    io.Enum(s.kind, MetricSample::Kind::kHistogram, "metrics sample kind");
+    io.String(s.name, "metrics sample name");
+    io.String(s.help, "metrics sample help");
+    uint16_t nl = static_cast<uint16_t>(s.labels.size());
+    io.U16(nl, "metrics label count");
+    if (!io.Bounded(nl, 4, "metrics label count exceeds body")) return;
+    io.Resize(s.labels, nl);
+    for (auto& [key, value] : s.labels) {
+      io.String(key, "metrics label key");
+      io.String(value, "metrics label value");
+    }
+    switch (s.kind) {
+      case MetricSample::Kind::kCounter:
+        io.U64(s.counter, "metrics counter value");
+        break;
+      case MetricSample::Kind::kGauge:
+        io.F64(s.gauge, "metrics gauge bits");
+        break;
+      case MetricSample::Kind::kHistogram:
+        LayoutHistogram(io, s.histogram);
+        break;
+    }
+    if (!io.ok()) return;
+  }
+  io.Crc("metrics report crc");
+}
+
+void DecodeBody(Reader* r, CtrlFrame* frame) {
   switch (frame->type) {
-    case CtrlType::kHello: {
-      CtrlHello& h = frame->hello;
-      h.protocol = r->U32("hello protocol");
-      h.num_shards = r->I32("hello num_shards");
-      h.shard_index = r->I32("hello shard_index");
-      h.partitioner_seed = r->U64("hello seed");
-      h.exchange_items_received = r->U64("hello exchange cursor");
-      h.completions_received = r->U64("hello completion cursor");
-      break;
-    }
+    case CtrlType::kHello:
+      return LayoutHello(*r, frame->hello);
     case CtrlType::kHelloAck:
-      frame->hello_ack.applied_frames = r->U64("hello-ack applied");
-      break;
-    case CtrlType::kRegister: {
-      CtrlRegister& reg = frame->reg;
-      reg.expect_id = r->I32("register id");
-      reg.strategy = r->U8("register strategy");
-      reg.window = r->I64("register window");
-      reg.name = r->String("register name");
-      const uint8_t nv = r->U8("register vertex count");
-      const uint8_t ne = r->U8("register edge count");
-      if (nv > kMaxQuerySize || ne > kMaxQuerySize) {
-        r->Fail("register query exceeds the query-size bound");
-        return;
-      }
-      reg.vertex_labels.reserve(nv);
-      for (uint8_t i = 0; i < nv && r->ok; ++i) {
-        reg.vertex_labels.push_back(r->String("register vertex label"));
-      }
-      reg.edges.reserve(ne);
-      for (uint8_t i = 0; i < ne && r->ok; ++i) {
-        CtrlQueryEdge e;
-        e.src = r->U8("register edge src");
-        e.dst = r->U8("register edge dst");
-        e.label = r->String("register edge label");
-        if (e.src >= nv || e.dst >= nv) {
-          r->Fail("register edge endpoint out of range");
-          return;
-        }
-        reg.edges.push_back(std::move(e));
-      }
-      break;
-    }
-    case CtrlType::kRegisterAck: {
-      frame->register_ack.id = r->I32("register-ack id");
-      frame->register_ack.ok = r->U8("register-ack ok") != 0;
-      frame->register_ack.error = r->String("register-ack error");
-      break;
-    }
+      return r->U64(frame->hello_ack.applied_frames, "hello-ack applied");
+    case CtrlType::kRegister:
+      return LayoutRegister(*r, frame->reg);
+    case CtrlType::kRegisterAck:
+      return LayoutRegisterAck(*r, frame->register_ack);
     case CtrlType::kEndBackfill:
-      break;
-    case CtrlType::kUnregister:
-      frame->unregister.query_id = r->I32("unregister id");
-      break;
-    case CtrlType::kBatch: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
-      const uint32_t n = r->U32("batch edge count");
-      if (!r->ok) return;
-      if (r->remaining() != n * kBatchRecordBytes) {
-        r->Fail("body length does not match batch edge records");
-        return;
-      }
-      frame->batch.edges.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        CtrlShardEdge se;
-        se.global_id = r->U64("batch edge gid");
-        se.edge.src = r->U64("batch edge src");
-        se.edge.dst = r->U64("batch edge dst");
-        se.edge.src_label = TableLabel(r, table, r->U32("batch src label"));
-        se.edge.dst_label = TableLabel(r, table, r->U32("batch dst label"));
-        se.edge.edge_label = TableLabel(r, table, r->U32("batch edge label"));
-        se.edge.ts = r->I64("batch edge ts");
-        se.run_anchors = r->U8("batch anchor bit") != 0;
-        frame->batch.edges.push_back(se);
-      }
-      break;
-    }
-    case CtrlType::kExchange: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
-      const uint32_t n = r->U32("exchange item count");
-      if (!r->ok) return;
-      // An item costs at least its fixed header; bound before reserving.
-      constexpr size_t kMinItemBytes = 4 + 1 + 4 + 4 + 4 + 4 + 1 + 1;
-      if (n > r->remaining() / kMinItemBytes) {
-        r->Fail("exchange item count exceeds body");
-        return;
-      }
-      frame->exchange.items.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        CtrlExchangeItem ci;
-        ci.dest = r->I32("exchange dest");
-        const uint8_t kind = r->U8("exchange kind");
-        if (kind > static_cast<uint8_t>(ExchangeKind::kComplete)) {
-          r->Fail("exchange kind out of range");
-          return;
-        }
-        ci.item.kind = static_cast<ExchangeKind>(kind);
-        ci.item.query_id = r->I32("exchange query id");
-        ci.item.plan = r->U32("exchange plan");
-        ci.item.step = r->I32("exchange step");
-        ci.item.node = r->I32("exchange node");
-        ci.item.match = DecodeWireMatch(r, table);
-        frame->exchange.items.push_back(std::move(ci));
-      }
-      break;
-    }
-    case CtrlType::kBarrier:
-      frame->barrier.round = r->U32("barrier round");
-      break;
-    case CtrlType::kBarrierAck:
-      frame->barrier_ack.round = r->U32("barrier-ack round");
-      frame->barrier_ack.applied_frames = r->U64("barrier-ack applied");
-      break;
-    case CtrlType::kCommit:
-      frame->commit.watermark = r->I64("commit watermark");
-      break;
-    case CtrlType::kCompletion: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
-      frame->completion.query_id = r->I32("completion query id");
-      frame->completion.completed_at = r->I64("completion ts");
-      frame->completion.match = DecodeWireMatch(r, table);
-      break;
-    }
-    case CtrlType::kInfo:
-      frame->info.query_id = r->I32("info query id");
-      break;
-    case CtrlType::kInfoAck: {
-      CtrlInfoAck& ack = frame->info_ack;
-      ack.ok = r->U8("info-ack ok") != 0;
-      ack.error = r->String("info-ack error");
-      ack.name = r->String("info-ack name");
-      ack.window = r->I64("info-ack window");
-      ack.completions = r->U64("info-ack completions");
-      ack.live_partial_matches = r->U64("info-ack live");
-      ack.peak_partial_matches = r->U64("info-ack peak");
-      const uint32_t n = r->U32("info-ack node count");
-      if (!r->ok) return;
-      constexpr size_t kNodeBytes = 4 + 1 + 4 + 5 * 8;
-      if (r->remaining() != n * kNodeBytes) {
-        r->Fail("body length does not match info-ack node records");
-        return;
-      }
-      ack.nodes.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        CtrlNodeRuntime node;
-        node.node = r->I32("info-ack node id");
-        node.is_leaf = r->U8("info-ack node leaf") != 0;
-        node.query_edges = r->I32("info-ack node edges");
-        node.matches_inserted = r->U64("info-ack node inserted");
-        node.probes = r->U64("info-ack node probes");
-        node.join_attempts = r->U64("info-ack node attempts");
-        node.joins_succeeded = r->U64("info-ack node joins");
-        node.live_partial_matches = r->U64("info-ack node live");
-        ack.nodes.push_back(node);
-      }
-      break;
-    }
     case CtrlType::kStats:
     case CtrlType::kMetricsRequest:
-      break;
-    case CtrlType::kMetricsReport: {
-      // Verify the trailing CRC-32 before trusting any field: a report
-      // that parses but lies would silently skew every federated series.
-      if (r->remaining() < 4) {
-        r->Fail("metrics report shorter than its CRC");
-        return;
-      }
-      const size_t payload_len = r->remaining() - 4;
-      if (Crc32(r->p, payload_len) != GetU32(r->p + payload_len)) {
-        r->Fail("metrics report CRC mismatch");
-        return;
-      }
-      CtrlMetricsReport& rep = frame->metrics_report;
-      rep.wal_seq = r->U64("metrics wal seq");
-      rep.replayed_frames = r->U64("metrics replayed");
-      rep.exchange_items_sent = r->U64("metrics exchange sent");
-      rep.completions_sent = r->U64("metrics completions sent");
-      const uint32_t n = r->U32("metrics sample count");
-      if (!r->ok) return;
-      // A sample costs at least kind + three u16 lengths; bound before
-      // reserving.
-      if (n > r->remaining() / 7) {
-        r->Fail("metrics sample count exceeds body");
-        return;
-      }
-      rep.samples.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        MetricSample s;
-        const uint8_t kind = r->U8("metrics sample kind");
-        if (kind > static_cast<uint8_t>(MetricSample::Kind::kHistogram)) {
-          r->Fail("metrics sample kind out of range");
-          return;
-        }
-        s.kind = static_cast<MetricSample::Kind>(kind);
-        s.name = r->String("metrics sample name");
-        s.help = r->String("metrics sample help");
-        const uint16_t nl = r->U16("metrics label count");
-        if (nl > r->remaining() / 4) {
-          r->Fail("metrics label count exceeds body");
-          return;
-        }
-        s.labels.reserve(nl);
-        for (uint16_t l = 0; l < nl && r->ok; ++l) {
-          std::string key = r->String("metrics label key");
-          std::string value = r->String("metrics label value");
-          s.labels.emplace_back(std::move(key), std::move(value));
-        }
-        switch (s.kind) {
-          case MetricSample::Kind::kCounter:
-            s.counter = r->U64("metrics counter value");
-            break;
-          case MetricSample::Kind::kGauge:
-            s.gauge = std::bit_cast<double>(r->U64("metrics gauge bits"));
-            break;
-          case MetricSample::Kind::kHistogram: {
-            // Sparse buckets: (index, count) pairs in strictly ascending
-            // index order, then the value sum.
-            const uint8_t nb = r->U8("metrics histogram bucket count");
-            if (nb > Histogram::kNumBuckets) {
-              r->Fail("metrics histogram bucket count out of range");
-              return;
-            }
-            std::array<uint64_t, Histogram::kNumBuckets> counts{};
-            int last = -1;
-            for (uint8_t b = 0; b < nb && r->ok; ++b) {
-              const uint8_t idx = r->U8("metrics histogram bucket index");
-              if (idx >= Histogram::kNumBuckets ||
-                  static_cast<int>(idx) <= last) {
-                r->Fail("metrics histogram bucket index out of order");
-                return;
-              }
-              last = idx;
-              counts[idx] = r->U64("metrics histogram bucket value");
-            }
-            const uint64_t sum = r->U64("metrics histogram sum");
-            s.histogram = Histogram::FromBuckets(counts, sum);
-            break;
-          }
-        }
-        if (!r->ok) return;
-        rep.samples.push_back(std::move(s));
-      }
-      // The verified CRC trailer; consuming it satisfies the whole-body
-      // trailing-bytes check.
-      r->U32("metrics report crc");
-      break;
-    }
-    case CtrlType::kStatsAck: {
-      CtrlStatsAck& ack = frame->stats_ack;
-      ack.retained_edges = r->U64("stats retained edges");
-      ack.retained_vertices = r->U64("stats retained vertices");
-      ack.evicted_edges = r->U64("stats evicted");
-      ack.edges_processed = r->U64("stats processed");
-      ack.completions = r->U64("stats completions");
-      ack.live_partial_matches = r->U64("stats live");
-      ack.exchange.sent_expansions = r->U64("stats sent expansions");
-      ack.exchange.sent_inserts = r->U64("stats sent inserts");
-      ack.exchange.sent_completions = r->U64("stats sent completions");
-      ack.exchange.received_expansions = r->U64("stats recv expansions");
-      ack.exchange.received_inserts = r->U64("stats recv inserts");
-      ack.exchange.received_completions = r->U64("stats recv completions");
-      break;
-    }
+      return;
+    case CtrlType::kUnregister:
+      return r->I32(frame->unregister.query_id, "unregister id");
+    case CtrlType::kBatch:
+      return LayoutBatch(*r, frame->batch);
+    case CtrlType::kExchange:
+      return LayoutExchangeItems(*r, frame->exchange.items);
+    case CtrlType::kBarrier:
+      return r->U32(frame->barrier.round, "barrier round");
+    case CtrlType::kBarrierAck:
+      r->U32(frame->barrier_ack.round, "barrier-ack round");
+      return r->U64(frame->barrier_ack.applied_frames, "barrier-ack applied");
+    case CtrlType::kCommit:
+      return r->I64(frame->commit.watermark, "commit watermark");
+    case CtrlType::kCompletion:
+      return LayoutCompletion(*r, frame->completion);
+    case CtrlType::kInfo:
+      return r->I32(frame->info.query_id, "info query id");
+    case CtrlType::kInfoAck:
+      return LayoutInfoAck(*r, frame->info_ack);
+    case CtrlType::kStatsAck:
+      return LayoutStatsAck(*r, frame->stats_ack);
+    case CtrlType::kMetricsReport:
+      return LayoutMetricsReport(*r, frame->metrics_report);
   }
 }
 
@@ -523,7 +589,8 @@ CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
 
   const char* const body = buf.data() + kCtrlFrameHeaderBytes;
   Reader r(body, body + body_len);
-  const uint8_t type = r.U8("frame type");
+  uint8_t type;
+  r.U8(type, "frame type");
   if (type < static_cast<uint8_t>(CtrlType::kHello) ||
       type > static_cast<uint8_t>(CtrlType::kMetricsReport)) {
     result.status = FrameDecodeStatus::kMalformed;
@@ -532,14 +599,13 @@ CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
     return result;
   }
   result.frame.type = static_cast<CtrlType>(type);
-  DecodeBody(&r, interner, &result.frame);
-  if (r.ok && r.remaining() != 0) {
-    r.Fail("trailing bytes after payload");
-  }
-  if (!r.ok) {
+  if (HasLabelTable(result.frame.type)) r.LabelTable(interner);
+  DecodeBody(&r, &result.frame);
+  r.Require(r.remaining() == 0, "trailing bytes after payload");
+  if (!r.ok()) {
     result.status = FrameDecodeStatus::kMalformed;
     result.frame_bytes = frame_bytes;
-    result.error = StrCat("malformed control frame: ", r.err);
+    result.error = StrCat("malformed control frame: ", r.err());
     return result;
   }
   result.status = FrameDecodeStatus::kOk;
@@ -548,237 +614,121 @@ CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
 }
 
 std::string EncodeHelloFrame(const CtrlHello& hello) {
-  std::string body = BodyFor(CtrlType::kHello);
-  PutU32(&body, hello.protocol);
-  PutU32(&body, static_cast<uint32_t>(hello.num_shards));
-  PutU32(&body, static_cast<uint32_t>(hello.shard_index));
-  PutU64(&body, hello.partitioner_seed);
-  PutU64(&body, hello.exchange_items_received);
-  PutU64(&body, hello.completions_received);
-  return FinishFrame(std::move(body));
+  Writer w;
+  LayoutHello(w, hello);
+  return w.Finish(CtrlType::kHello);
 }
 
 std::string EncodeHelloAckFrame(const CtrlHelloAck& ack) {
-  std::string body = BodyFor(CtrlType::kHelloAck);
-  PutU64(&body, ack.applied_frames);
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.U64(ack.applied_frames, {});
+  return w.Finish(CtrlType::kHelloAck);
 }
 
 std::string EncodeRegisterFrame(const CtrlRegister& reg) {
-  std::string body = BodyFor(CtrlType::kRegister);
-  PutU32(&body, static_cast<uint32_t>(reg.expect_id));
-  body.push_back(static_cast<char>(reg.strategy));
-  PutI64(&body, reg.window);
-  PutString(&body, reg.name);
-  body.push_back(static_cast<char>(reg.vertex_labels.size()));
-  body.push_back(static_cast<char>(reg.edges.size()));
-  for (const std::string& label : reg.vertex_labels) PutString(&body, label);
-  for (const CtrlQueryEdge& e : reg.edges) {
-    body.push_back(static_cast<char>(e.src));
-    body.push_back(static_cast<char>(e.dst));
-    PutString(&body, e.label);
-  }
-  return FinishFrame(std::move(body));
+  Writer w;
+  LayoutRegister(w, reg);
+  return w.Finish(CtrlType::kRegister);
 }
 
 std::string EncodeRegisterAckFrame(const CtrlRegisterAck& ack) {
-  std::string body = BodyFor(CtrlType::kRegisterAck);
-  PutU32(&body, static_cast<uint32_t>(ack.id));
-  body.push_back(ack.ok ? 1 : 0);
-  PutString(&body, ack.error);
-  return FinishFrame(std::move(body));
+  Writer w;
+  LayoutRegisterAck(w, ack);
+  return w.Finish(CtrlType::kRegisterAck);
 }
 
 std::string EncodeEndBackfillFrame() {
-  return FinishFrame(BodyFor(CtrlType::kEndBackfill));
+  return Writer().Finish(CtrlType::kEndBackfill);
 }
 
 std::string EncodeUnregisterFrame(const CtrlUnregister& unregister) {
-  std::string body = BodyFor(CtrlType::kUnregister);
-  PutU32(&body, static_cast<uint32_t>(unregister.query_id));
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.I32(unregister.query_id, {});
+  return w.Finish(CtrlType::kUnregister);
 }
 
 std::string EncodeBatchFrame(const CtrlBatch& batch,
                              const LabelNameFn& label_name) {
-  LabelTable table(label_name);
-  struct Indexes {
-    uint32_t src, dst, edge;
-  };
-  std::vector<Indexes> indexes;
-  indexes.reserve(batch.edges.size());
-  for (const CtrlShardEdge& se : batch.edges) {
-    indexes.push_back({table.IndexOf(se.edge.src_label),
-                       table.IndexOf(se.edge.dst_label),
-                       table.IndexOf(se.edge.edge_label)});
-  }
-  std::string body = BodyFor(CtrlType::kBatch);
-  table.Encode(&body);
-  PutU32(&body, static_cast<uint32_t>(batch.edges.size()));
-  for (size_t i = 0; i < batch.edges.size(); ++i) {
-    const CtrlShardEdge& se = batch.edges[i];
-    PutU64(&body, se.global_id);
-    PutU64(&body, se.edge.src);
-    PutU64(&body, se.edge.dst);
-    PutU32(&body, indexes[i].src);
-    PutU32(&body, indexes[i].dst);
-    PutU32(&body, indexes[i].edge);
-    PutI64(&body, se.edge.ts);
-    body.push_back(se.run_anchors ? 1 : 0);
-  }
-  return FinishFrame(std::move(body));
+  Writer w(&label_name);
+  LayoutBatch(w, batch);
+  return w.Finish(CtrlType::kBatch);
 }
 
 std::string EncodeExchangeFrame(const CtrlExchange& exchange,
                                 const LabelNameFn& label_name) {
-  LabelTable table(label_name);
-  std::string items;
-  for (const CtrlExchangeItem& ci : exchange.items) {
-    PutU32(&items, static_cast<uint32_t>(ci.dest));
-    items.push_back(static_cast<char>(ci.item.kind));
-    PutU32(&items, static_cast<uint32_t>(ci.item.query_id));
-    PutU32(&items, ci.item.plan);
-    PutU32(&items, static_cast<uint32_t>(ci.item.step));
-    PutU32(&items, static_cast<uint32_t>(ci.item.node));
-    EncodeWireMatch(&items, ci.item.match, &table);
+  Writer w(&label_name);
+  LayoutExchangeItems(w, exchange.items);
+  return w.Finish(CtrlType::kExchange);
+}
+
+std::vector<std::string> EncodeExchangeFrames(
+    std::span<const CtrlExchangeItem> items, const LabelNameFn& label_name) {
+  std::vector<std::string> frames;
+  for (size_t begin = 0; begin < items.size();
+       begin += kMaxExchangeItemsPerFrame) {
+    Writer w(&label_name);
+    auto chunk = items.subspan(
+        begin, std::min(kMaxExchangeItemsPerFrame, items.size() - begin));
+    LayoutExchangeItems(w, chunk);
+    frames.push_back(w.Finish(CtrlType::kExchange));
   }
-  std::string body = BodyFor(CtrlType::kExchange);
-  table.Encode(&body);
-  PutU32(&body, static_cast<uint32_t>(exchange.items.size()));
-  body.append(items);
-  return FinishFrame(std::move(body));
+  return frames;
 }
 
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier) {
-  std::string body = BodyFor(CtrlType::kBarrier);
-  PutU32(&body, barrier.round);
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.U32(barrier.round, {});
+  return w.Finish(CtrlType::kBarrier);
 }
 
 std::string EncodeBarrierAckFrame(const CtrlBarrierAck& ack) {
-  std::string body = BodyFor(CtrlType::kBarrierAck);
-  PutU32(&body, ack.round);
-  PutU64(&body, ack.applied_frames);
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.U32(ack.round, {});
+  w.U64(ack.applied_frames, {});
+  return w.Finish(CtrlType::kBarrierAck);
 }
 
 std::string EncodeCommitFrame(const CtrlCommit& commit) {
-  std::string body = BodyFor(CtrlType::kCommit);
-  PutI64(&body, commit.watermark);
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.I64(commit.watermark, {});
+  return w.Finish(CtrlType::kCommit);
 }
 
 std::string EncodeCompletionFrame(const CtrlCompletion& completion,
                                   const LabelNameFn& label_name) {
-  LabelTable table(label_name);
-  std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(completion.query_id));
-  PutI64(&payload, completion.completed_at);
-  EncodeWireMatch(&payload, completion.match, &table);
-  std::string body = BodyFor(CtrlType::kCompletion);
-  table.Encode(&body);
-  body.append(payload);
-  return FinishFrame(std::move(body));
+  Writer w(&label_name);
+  LayoutCompletion(w, completion);
+  return w.Finish(CtrlType::kCompletion);
 }
 
 std::string EncodeInfoFrame(const CtrlInfo& info) {
-  std::string body = BodyFor(CtrlType::kInfo);
-  PutU32(&body, static_cast<uint32_t>(info.query_id));
-  return FinishFrame(std::move(body));
+  Writer w;
+  w.I32(info.query_id, {});
+  return w.Finish(CtrlType::kInfo);
 }
 
 std::string EncodeInfoAckFrame(const CtrlInfoAck& ack) {
-  std::string body = BodyFor(CtrlType::kInfoAck);
-  body.push_back(ack.ok ? 1 : 0);
-  PutString(&body, ack.error);
-  PutString(&body, ack.name);
-  PutI64(&body, ack.window);
-  PutU64(&body, ack.completions);
-  PutU64(&body, ack.live_partial_matches);
-  PutU64(&body, ack.peak_partial_matches);
-  PutU32(&body, static_cast<uint32_t>(ack.nodes.size()));
-  for (const CtrlNodeRuntime& node : ack.nodes) {
-    PutU32(&body, static_cast<uint32_t>(node.node));
-    body.push_back(node.is_leaf ? 1 : 0);
-    PutU32(&body, static_cast<uint32_t>(node.query_edges));
-    PutU64(&body, node.matches_inserted);
-    PutU64(&body, node.probes);
-    PutU64(&body, node.join_attempts);
-    PutU64(&body, node.joins_succeeded);
-    PutU64(&body, node.live_partial_matches);
-  }
-  return FinishFrame(std::move(body));
+  Writer w;
+  LayoutInfoAck(w, ack);
+  return w.Finish(CtrlType::kInfoAck);
 }
 
-std::string EncodeStatsFrame() {
-  return FinishFrame(BodyFor(CtrlType::kStats));
-}
+std::string EncodeStatsFrame() { return Writer().Finish(CtrlType::kStats); }
 
-std::string EncodeStatsAckFrame(const CtrlStatsAck& ack) {
-  std::string body = BodyFor(CtrlType::kStatsAck);
-  PutU64(&body, ack.retained_edges);
-  PutU64(&body, ack.retained_vertices);
-  PutU64(&body, ack.evicted_edges);
-  PutU64(&body, ack.edges_processed);
-  PutU64(&body, ack.completions);
-  PutU64(&body, ack.live_partial_matches);
-  PutU64(&body, ack.exchange.sent_expansions);
-  PutU64(&body, ack.exchange.sent_inserts);
-  PutU64(&body, ack.exchange.sent_completions);
-  PutU64(&body, ack.exchange.received_expansions);
-  PutU64(&body, ack.exchange.received_inserts);
-  PutU64(&body, ack.exchange.received_completions);
-  return FinishFrame(std::move(body));
+std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack) {
+  Writer w;
+  LayoutStatsAck(w, ack);
+  return w.Finish(CtrlType::kStatsAck);
 }
 
 std::string EncodeMetricsRequestFrame() {
-  return FinishFrame(BodyFor(CtrlType::kMetricsRequest));
+  return Writer().Finish(CtrlType::kMetricsRequest);
 }
 
 std::string EncodeMetricsReportFrame(const CtrlMetricsReport& report) {
-  std::string body = BodyFor(CtrlType::kMetricsReport);
-  PutU64(&body, report.wal_seq);
-  PutU64(&body, report.replayed_frames);
-  PutU64(&body, report.exchange_items_sent);
-  PutU64(&body, report.completions_sent);
-  PutU32(&body, static_cast<uint32_t>(report.samples.size()));
-  for (const MetricSample& s : report.samples) {
-    body.push_back(static_cast<char>(s.kind));
-    PutString(&body, s.name);
-    PutString(&body, s.help);
-    PutU16(&body, static_cast<uint16_t>(s.labels.size()));
-    for (const auto& [key, value] : s.labels) {
-      PutString(&body, key);
-      PutString(&body, value);
-    }
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        PutU64(&body, s.counter);
-        break;
-      case MetricSample::Kind::kGauge:
-        PutU64(&body, std::bit_cast<uint64_t>(s.gauge));
-        break;
-      case MetricSample::Kind::kHistogram: {
-        uint8_t occupied = 0;
-        for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-          if (s.histogram.bucket_count(b) != 0) ++occupied;
-        }
-        body.push_back(static_cast<char>(occupied));
-        for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-          const uint64_t count = s.histogram.bucket_count(b);
-          if (count == 0) continue;
-          body.push_back(static_cast<char>(b));
-          PutU64(&body, count);
-        }
-        PutU64(&body, s.histogram.sum());
-        break;
-      }
-    }
-  }
-  // CRC over the payload (everything after the type byte); the decoder
-  // verifies it before reading a single field.
-  PutU32(&body, Crc32(body.data() + 1, body.size() - 1));
-  return FinishFrame(std::move(body));
+  Writer w;
+  LayoutMetricsReport(w, report);
+  return w.Finish(CtrlType::kMetricsReport);
 }
 
 }  // namespace streamworks

@@ -585,6 +585,92 @@ TEST(ClusterTest, WorkerKillAndRestartContinuesExactlyOnce) {
   fs::remove_all(root);
 }
 
+TEST(ClusterTest, RequestsAfterWorkerRestartRecoverTheLink) {
+  const std::string root =
+      (fs::temp_directory_path() / "sw_cluster_request_restart_test").string();
+  fs::remove_all(root);
+
+  auto start_worker = [&](int index, int port) {
+    WorkerOptions options;
+    options.port = port;
+    options.data_dir = root + "/worker" + std::to_string(index);
+    fs::create_directories(options.data_dir);
+    options.poll_interval_ms = 20;
+    return std::make_unique<WorkerDaemon>(std::move(options));
+  };
+
+  Interner interner;
+  auto w0 = start_worker(0, 0);
+  ASSERT_TRUE(w0->Start().ok());
+  const int port0 = w0->port();
+  auto w1 = start_worker(1, 0);
+  ASSERT_TRUE(w1->Start().ok());
+  std::atomic<bool> stop0{false};
+  std::atomic<bool> stop1{false};
+  std::thread t0([&] { w0->Serve(stop0); });
+  std::thread t1([&] { w1->Serve(stop1); });
+
+  DistributedBackendOptions options;
+  options.workers = {"127.0.0.1:" + std::to_string(port0),
+                     "127.0.0.1:" + std::to_string(w1->port())};
+  options.epoch_edges = 64;
+  options.reconnect_deadline_ms = 15000;
+  DistributedBackend backend(options, &interner);
+  ASSERT_TRUE(backend.Start().ok());
+
+  MatchSink sink;
+  const QueryGraph worm_chain = BuildWormChain(&interner);
+  auto id = backend.Register(
+      worm_chain, DecompositionStrategy::kLeftDeepEdgeOrder, 50,
+      sink.Callback());
+  ASSERT_TRUE(id.ok());
+  const EdgeBatch edges = TestStream(&interner, 400);
+  const size_t half = edges.size() / 2;
+  ASSERT_TRUE(
+      backend.FeedBatch(EdgeBatch(edges.begin(), edges.begin() + half), nullptr)
+          .ok());
+  backend.Flush();
+  const size_t delivered_before = sink.size();
+
+  // Restart worker 0 and ask for Info and ShardLoads before any ingest
+  // could heal the link: the request frames themselves must recover it.
+  stop0.store(true);
+  t0.join();
+  w0.reset();
+  w0 = start_worker(0, port0);
+  ASSERT_TRUE(w0->Start().ok());
+  stop0.store(false);
+  std::thread t0b([&] { w0->Serve(stop0); });
+
+  // EXPECT, not ASSERT, from here on: the daemon threads must be joined.
+  auto info = backend.Info(*id);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (info.ok()) {
+    EXPECT_EQ(info->name, "worm_chain");
+    EXPECT_EQ(info->completions, delivered_before);
+  }
+  const auto loads = backend.ShardLoads();
+  EXPECT_EQ(loads.size(), 2u) << "a restarted worker's row went missing";
+  if (!loads.empty()) {
+    EXPECT_GT(loads[0].retained_edges, 0u);
+  }
+  EXPECT_GT(w0->counters().replayed_frames, 0u);
+
+  EXPECT_TRUE(
+      backend.FeedBatch(EdgeBatch(edges.begin() + half, edges.end()), nullptr)
+          .ok());
+  backend.Flush();
+  EXPECT_EQ(sink.Sorted(),
+            SingleEngineReference(&interner, {{worm_chain, 50}}, edges));
+
+  backend.Stop();
+  stop0.store(true);
+  stop1.store(true);
+  t0b.join();
+  t1.join();
+  fs::remove_all(root);
+}
+
 TEST(ClusterTest, ParseHostPortAcceptsValidRejectsJunk) {
   auto ok = ParseHostPort("127.0.0.1:8080");
   ASSERT_TRUE(ok.ok());

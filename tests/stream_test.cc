@@ -796,7 +796,7 @@ TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   info_ack.completions = 8;
   info_ack.live_partial_matches = 3;
   info_ack.peak_partial_matches = 5;
-  CtrlNodeRuntime node;
+  SjNodeRuntime node;
   node.node = 1;
   node.is_leaf = true;
   node.query_edges = 2;
@@ -814,7 +814,7 @@ TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   EXPECT_EQ(f.info_ack.nodes[0].joins_succeeded, 15u);
   EXPECT_TRUE(f.info_ack.nodes[0].is_leaf);
 
-  CtrlStatsAck stats;
+  ShardStatsSnapshot stats;
   stats.retained_edges = 1;
   stats.retained_vertices = 2;
   stats.evicted_edges = 3;
