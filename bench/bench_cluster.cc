@@ -4,7 +4,11 @@
 // commit) and completion delivery lag (enqueue-to-callback, p50/p99) for
 // a netflow stream with planted worm/probe motifs.
 //
-//   $ ./build/bench/bench_cluster [num_edges] [--json PATH]
+//   $ ./build/bench/bench_cluster [num_edges] [--json PATH] [--no-overhead]
+//
+// The default 2M edges keeps every row above a second of wall time on a
+// 4-core x86 host (0.9-1.2M edges/s at 1 worker); shorter runs are
+// dominated by scheduling noise.
 //
 // Workers run in-process on their own threads, without frame logs: the
 // number is the cluster wire + barrier protocol, not disk. Machine-
@@ -55,11 +59,10 @@ struct Result {
 /// Observed cost of cluster observability on the ingest path: paired
 /// obs-off/obs-on runs of the 2-worker scenario, scraped live while
 /// feeding. The gated number is the wall-clock ingest slowdown — the
-/// "ingest cost" a deployment actually pays, since the cluster path is
-/// latency-bound on barrier round-trips and the scrape work happens off
-/// the critical path. The absolute observability CPU (scrapes, report
-/// pulls, phase records) rides along: on a latency-bound denominator a
-/// CPU ratio wildly overstates milliseconds of work.
+/// "ingest cost" a deployment actually pays. The absolute observability
+/// CPU (scrapes, report pulls, phase records) rides along: the run's CPU
+/// is spread over coordinator and worker threads, so a CPU ratio says
+/// less than milliseconds of work per wall second.
 struct Overhead {
   int workers = 0;
   int pairs = 0;
@@ -241,10 +244,19 @@ Result RunScenario(int num_workers, const std::vector<StreamEdge>& edges,
   return result;
 }
 
-/// Alternated obs-off/obs-on pairs at 2 workers; each pair's percentage
-/// is the wall-clock ingest slowdown (seconds_on - seconds_off) /
-/// seconds_off. Median defends against one noisy pair; the mean rides
-/// along for honesty about the spread.
+/// One 2-worker run on a fresh interner + stream, like the scenario sweep.
+Result RunOverheadSide(int num_edges, bool with_obs) {
+  Interner interner;
+  const auto edges = BenchStream(&interner, num_edges);
+  return RunScenario(2, edges, &interner, with_obs);
+}
+
+/// Obs-off/obs-on pairs at 2 workers, alternating which side runs first
+/// so drift (thermal, page cache, a neighbour's load) does not always
+/// land on the same side. Each pair's percentage is the wall-clock ingest
+/// slowdown (seconds_on - seconds_off) / seconds_off. Median defends
+/// against one noisy pair; the mean rides along for honesty about the
+/// spread.
 Overhead MeasureOverhead(int num_edges, int pairs) {
   Overhead result;
   result.workers = 2;
@@ -254,15 +266,11 @@ Overhead MeasureOverhead(int num_edges, int pairs) {
   double cpu_delta = 0;
   double wall_on = 0;
   for (int i = 0; i < pairs; ++i) {
-    // Fresh interner + stream per run, like the scenario sweep.
-    Interner off_interner;
-    const auto off_edges = BenchStream(&off_interner, num_edges);
-    const Result off =
-        RunScenario(2, off_edges, &off_interner, /*with_obs=*/false);
-    Interner on_interner;
-    const auto on_edges = BenchStream(&on_interner, num_edges);
-    const Result on =
-        RunScenario(2, on_edges, &on_interner, /*with_obs=*/true);
+    const bool on_first = i % 2 == 1;
+    Result off, on;
+    if (on_first) on = RunOverheadSide(num_edges, /*with_obs=*/true);
+    off = RunOverheadSide(num_edges, /*with_obs=*/false);
+    if (!on_first) on = RunOverheadSide(num_edges, /*with_obs=*/true);
     const double pct =
         off.seconds > 0 ? (on.seconds - off.seconds) / off.seconds * 100.0
                         : 0.0;
@@ -270,7 +278,8 @@ Overhead MeasureOverhead(int num_edges, int pairs) {
     sum += pct;
     cpu_delta += on.cpu_seconds - off.cpu_seconds;
     wall_on += on.seconds;
-    std::cout << "overhead pair " << (i + 1) << "/" << pairs << ": off="
+    std::cout << "overhead pair " << (i + 1) << "/" << pairs
+              << (on_first ? " (on first)" : " (off first)") << ": off="
               << FormatDouble(off.seconds, 3) << "s on="
               << FormatDouble(on.seconds, 3) << "s (" << FormatDouble(pct, 2)
               << "% wall; cpu " << FormatDouble(off.cpu_seconds, 3) << "s -> "
@@ -357,8 +366,8 @@ void RunAll(int num_edges, const std::string& json_path, int overhead_pairs) {
 }  // namespace streamworks::bench
 
 int main(int argc, char** argv) {
-  int num_edges = 20000;
-  int overhead_pairs = 5;
+  int num_edges = 2000000;
+  int overhead_pairs = 9;  // odd, so the median is one pair's reading
   std::string json_path = "bench-results/bench_cluster.json";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

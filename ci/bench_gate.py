@@ -143,7 +143,7 @@ def gate_obs_overhead(doc, label, report):
     """Re-checks an observability overhead block against its recorded
     budget. BENCH_obs.json carries median_cpu_pct (stage hooks on a
     CPU-bound path); bench_cluster.json carries median_ingest_pct (wall
-    slowdown of the latency-bound cluster ingest under live scraping)."""
+    slowdown of cluster ingest under live scraping)."""
     overhead = doc.get("overhead", {})
     measured = overhead.get("median_ingest_pct",
                             overhead.get("median_cpu_pct"))
@@ -196,7 +196,7 @@ def run_gate(results_dir, baseline_dir, tolerance, strict=False):
                                       "BENCH_obs.json (committed)", report)
     # Cluster observability rides the same budget discipline: the fresh
     # bench_cluster.json carries its own overhead block (paired
-    # obs-off/obs-on CPU at 2 workers) with a recorded gate_pct.
+    # obs-off/obs-on wall time at 2 workers) with a recorded gate_pct.
     cluster_fresh = results_dir / "bench_cluster.json"
     cluster_base = baseline_dir / "BENCH_cluster.json"
     if cluster_fresh.exists() and "overhead" in load(cluster_fresh):

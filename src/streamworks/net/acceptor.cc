@@ -100,6 +100,9 @@ void Acceptor::AcceptFrom(int listen_fd, bool http) {
       continue;  // fd closes on scope exit
     }
     if (!SetNonBlocking(fd.get()).ok()) continue;
+    // Small EVENT pushes and one-line replies must not wait on the
+    // client's delayed ACK.
+    if (listen_fd == tcp_fd_ && !SetTcpNoDelay(fd.get()).ok()) continue;
     if (options_->so_sndbuf > 0) {
       ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &options_->so_sndbuf,
                    sizeof(options_->so_sndbuf));

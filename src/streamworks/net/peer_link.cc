@@ -33,6 +33,16 @@ int RemainingMs(const Timer& timer, int timeout_ms) {
 
 StatusOr<PeerLink> PeerLink::Adopt(UniqueFd fd, bool duplex) {
   PeerLink link;
+  // Both ends of a TCP link need TCP_NODELAY: every control exchange is a
+  // small frame answered by a small frame, and Nagle would hold each one
+  // until the peer's delayed ACK fires. Unix-socket fds have no Nagle.
+  sockaddr_storage addr{};
+  socklen_t addr_len = sizeof(addr);
+  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) == 0 &&
+      (addr.ss_family == AF_INET || addr.ss_family == AF_INET6)) {
+    SW_RETURN_IF_ERROR(SetTcpNoDelay(fd.get()));
+  }
   if (duplex) {
     SW_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
   }

@@ -36,7 +36,8 @@ class PeerLink {
   PeerLink() = default;
 
   /// Adopts a connected socket. `duplex` selects the nonblocking
-  /// coordinator personality above.
+  /// coordinator personality above. A TCP fd gets TCP_NODELAY, whichever
+  /// side opened it.
   static StatusOr<PeerLink> Adopt(UniqueFd fd, bool duplex);
 
   /// Connects to `host:port` with the duplex personality, retrying until

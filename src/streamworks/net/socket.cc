@@ -52,6 +52,14 @@ Status SetNonBlocking(int fd) {
   return OkStatus();
 }
 
+Status SetTcpNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return Status::IoError(Errno("setsockopt(TCP_NODELAY)"));
+  }
+  return OkStatus();
+}
+
 StatusOr<UniqueFd> ListenTcp(const std::string& host, int port, int backlog) {
   SW_ASSIGN_OR_RETURN(const sockaddr_in addr, TcpAddress(host, port));
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
@@ -116,8 +124,7 @@ StatusOr<UniqueFd> ConnectTcp(const std::string& host, int port) {
     return Status::IoError(Errno("connect(tcp " + host + ":" +
                                  std::to_string(port) + ")"));
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SW_RETURN_IF_ERROR(SetTcpNoDelay(fd.get()));
   return fd;
 }
 

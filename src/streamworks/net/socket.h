@@ -14,6 +14,11 @@ namespace streamworks {
 /// blocking is the ResultQueue's job, not the socket's).
 Status SetNonBlocking(int fd);
 
+/// Turns off Nagle's algorithm on a TCP socket. Every TCP peer here sends
+/// small request/reply frames; with Nagle on, a small write behind an
+/// unacknowledged one waits out the peer's delayed ACK (~40 ms on Linux).
+Status SetTcpNoDelay(int fd);
+
 /// Listening TCP socket bound to `host:port` (SO_REUSEADDR, IPv4 dotted
 /// quad or "0.0.0.0"). `port` 0 picks an ephemeral port — read it back
 /// with BoundTcpPort.
@@ -26,7 +31,8 @@ StatusOr<int> BoundTcpPort(int fd);
 /// previous run is unlinked first; the caller owns unlinking on shutdown.
 StatusOr<UniqueFd> ListenUnix(const std::string& path, int backlog);
 
-/// Blocking client connects (the LineClient side).
+/// Blocking client connects (the LineClient side). TCP connects come
+/// back with TCP_NODELAY set.
 StatusOr<UniqueFd> ConnectTcp(const std::string& host, int port);
 StatusOr<UniqueFd> ConnectUnix(const std::string& path);
 

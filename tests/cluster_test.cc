@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -669,6 +670,43 @@ TEST(ClusterTest, RequestsAfterWorkerRestartRecoverTheLink) {
   t0b.join();
   t1.join();
   fs::remove_all(root);
+}
+
+// Every Flush is a round of small frames (batch, barrier, ack) on each
+// worker link. If either end of a TCP link leaves Nagle on, a small frame
+// behind an unacknowledged one waits out the peer's delayed ACK (~40 ms),
+// so 200 one-edge epochs would take 8 s or more.
+TEST(ClusterTest, SmallEpochsDoNotWaitOnDelayedAck) {
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  MatchSink sink;
+  ASSERT_TRUE(cluster.backend
+                  ->Register(BuildProbe(&cluster.interner),
+                             DecompositionStrategy::kLeftDeepEdgeOrder, 1000,
+                             sink.Callback())
+                  .ok());
+  const LabelId host = cluster.interner.Intern("Host");
+  const LabelId probe = cluster.interner.Intern("synProbe");
+  constexpr int kCycles = 200;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCycles; ++i) {
+    StreamEdge edge;
+    edge.src = static_cast<ExternalVertexId>(i);
+    edge.dst = static_cast<ExternalVertexId>(i + 1);
+    edge.src_label = host;
+    edge.dst_label = host;
+    edge.edge_label = probe;
+    edge.ts = i;
+    ASSERT_TRUE(cluster.backend->Feed(edge).ok());
+    cluster.backend->Flush();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(sink.size(), static_cast<size_t>(kCycles));
+  EXPECT_LT(seconds, 2.0) << kCycles << " flushed one-edge epochs took "
+                          << seconds << " s";
+  cluster.backend->Stop();
 }
 
 TEST(ClusterTest, ParseHostPortAcceptsValidRejectsJunk) {

@@ -12,6 +12,8 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,7 +34,9 @@
 #include "streamworks/core/engine.h"
 #include "streamworks/core/parallel.h"
 #include "streamworks/net/client.h"
+#include "streamworks/net/peer_link.h"
 #include "streamworks/net/server.h"
+#include "streamworks/net/socket.h"
 #include "streamworks/obs/json_render.h"
 #include "streamworks/obs/metric_registry.h"
 #include "streamworks/obs/stage_trace.h"
@@ -1340,6 +1344,43 @@ TEST_F(HttpObsTest, TraceVerbAndHttpErrorsBehave) {
   EXPECT_TRUE(HttpGet(server_->http_port(), "/healthz")
                   .starts_with("HTTP/1.1 200"));
   client.Quit();
+}
+
+int TcpNoDelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) return -1;
+  return value;
+}
+
+// Cluster control frames are small request/reply pairs; Nagle on either
+// end of the link holds each reply for the peer's delayed ACK.
+TEST(PeerLinkTest, BothEndsOfATcpLinkSetNoDelay) {
+  auto listener = ListenTcp("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listener.ok());
+  auto port = BoundTcpPort(listener->get());
+  ASSERT_TRUE(port.ok());
+  auto connected = PeerLink::ConnectTcpRetry("127.0.0.1", *port, 5000);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+
+  pollfd pfd{listener->get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  UniqueFd accepted_fd(::accept(listener->get(), nullptr, nullptr));
+  ASSERT_TRUE(accepted_fd.valid());
+  auto accepted = PeerLink::Adopt(std::move(accepted_fd), /*duplex=*/false);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+
+  EXPECT_EQ(TcpNoDelay(connected->fd()), 1);
+  EXPECT_EQ(TcpNoDelay(accepted->fd()), 1);
+}
+
+TEST(PeerLinkTest, UnixLinksAdoptWithoutTcpOptions) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd other(fds[1]);
+  auto link = PeerLink::Adopt(UniqueFd(fds[0]), /*duplex=*/true);
+  ASSERT_TRUE(link.ok()) << link.status().ToString();
+  EXPECT_TRUE(link->connected());
 }
 
 }  // namespace
