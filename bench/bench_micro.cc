@@ -1,6 +1,7 @@
 // Experiment M1: google-benchmark micro-benchmarks for the engine's hot
 // paths — window-graph ingest/eviction, anchored local search, match-store
-// insert/probe, join validation, and the batch oracle (for scale context).
+// insert/probe, join validation, the SJ-Tree on a light and a join-heavy
+// stream, and the batch oracle (for scale context).
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "streamworks/sjtree/match_store.h"
 #include "streamworks/sjtree/sj_tree.h"
 #include "streamworks/stream/netflow_gen.h"
+#include "streamworks/stream/news_gen.h"
 #include "streamworks/stream/workload_queries.h"
 
 namespace streamworks {
@@ -94,7 +96,7 @@ void BM_MatchStoreInsertProbe(benchmark::State& state) {
   const QueryGraph query = builder.Build().value();
   Rng rng(7);
   for (auto _ : state) {
-    MatchStore store;
+    MatchStore store(query.AllVertices(), query.AllEdges());
     for (int i = 0; i < 4096; ++i) {
       Match m(query);
       m.BindVertex(0, static_cast<VertexId>(rng.NextBounded(512)));
@@ -103,7 +105,7 @@ void BM_MatchStoreInsertProbe(benchmark::State& state) {
       store.Insert(rng.NextBounded(1024), m);
       size_t hits = 0;
       store.ProbeKey(rng.NextBounded(1024), /*cutoff=*/i - 512,
-                     [&](const Match&) { ++hits; });
+                     [&](const MatchRow&) { ++hits; });
       benchmark::DoNotOptimize(hits);
     }
   }
@@ -163,6 +165,48 @@ void BM_SjTreeProcessEdge(benchmark::State& state) {
                           static_cast<int64_t>(edges.size()));
 }
 BENCHMARK(BM_SjTreeProcessEdge);
+
+void BM_SjTreeDenseJoin(benchmark::State& state) {
+  // The dense-join shape straight through the engine (no QueryService):
+  // a skewed news stream and one structurally planned event query per
+  // topic, whose hasLocation edges pile up partial matches before the
+  // keyword edge prunes them. Insert, probe and join dominate.
+  Interner interner;
+  NewsGenerator::Options opt;
+  opt.seed = 1;
+  opt.entity_skew = 1.1;
+  opt.num_articles = 6000;
+  NewsGenerator generator(opt, &interner);
+  for (Timestamp t = 50, k = 0; t + 10 < opt.num_articles / 4; t += 150) {
+    generator.InjectEvent(t, opt.topics[k++ % opt.topics.size()], 2);
+  }
+  const auto edges = generator.Generate();
+  std::vector<QueryGraph> queries;
+  for (const std::string& topic : opt.topics) {
+    const std::string dsl = "query event_" + topic + "\nnode kw " + topic +
+                            "\nnode loc Location\nnode a1 Article\n"
+                            "node a2 Article\nedge a1 loc hasLocation\n"
+                            "edge a2 loc hasLocation\nedge a1 kw hasKeyword\n"
+                            "edge a2 kw hasKeyword\n";
+    queries.push_back(ParseQueryText(dsl, &interner).value().graph);
+  }
+  uint64_t matches = 0;
+  for (auto _ : state) {
+    StreamWorksEngine engine(&interner);
+    for (const QueryGraph& query : queries) {
+      engine
+          .RegisterQuery(query, DecompositionStrategy::kLeftDeepEdgeOrder,
+                         /*window=*/40,
+                         [&](const CompleteMatch&) { ++matches; })
+          .value();
+    }
+    for (const StreamEdge& e : edges) engine.ProcessEdge(e).ok();
+  }
+  benchmark::DoNotOptimize(matches);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(edges.size()));
+}
+BENCHMARK(BM_SjTreeDenseJoin)->Unit(benchmark::kMillisecond);
 
 void BM_ServiceFeedBatch(benchmark::State& state) {
   // The observability overhead gate: FeedBatch ingest through the full

@@ -399,6 +399,26 @@ void StreamWorksEngine::HandleExchangeItem(const ExchangeItem& item) {
       << "exchange item for unknown query " << item.query_id
       << " (unregister must quiesce the whole group first)";
   RegisteredQuery& rq = *queries_[item.query_id];
+  const SjTree& tree = *rq.tree;
+  switch (item.kind) {
+    case ExchangeKind::kExpand:
+      SW_CHECK_LT(item.plan, tree.anchor_plans().size())
+          << "exchange item for unknown anchor plan";
+      SW_CHECK(item.step >= 1 &&
+               static_cast<size_t>(item.step) <
+                   tree.anchor_plans()[item.plan].order.size())
+          << "exchange item resumes at step " << item.step
+          << " outside its expansion order";
+      break;
+    case ExchangeKind::kInsert:
+      SW_CHECK(item.node >= 0 &&
+               item.node < tree.decomposition().num_nodes() &&
+               item.node != tree.decomposition().root())
+          << "exchange item inserts at unknown node " << item.node;
+      break;
+    case ExchangeKind::kComplete:
+      break;
+  }
   auto localized = MatchExchange::Localize(&graph_, rq.query, item.match);
   SW_CHECK(localized.ok())
       << "forwarded match failed to localize: "
@@ -413,10 +433,16 @@ void StreamWorksEngine::HandleExchangeItem(const ExchangeItem& item) {
                                static_cast<size_t>(item.step), &m, &router_,
                                &scratch_completed_);
       break;
-    case ExchangeKind::kInsert:
+    case ExchangeKind::kInsert: {
+      const DecompositionNode& node = tree.decomposition().node(item.node);
+      SW_CHECK(m.bound_edges() == node.edges &&
+               m.bound_vertices() == node.vertices)
+          << "forwarded insert does not bind node " << item.node
+          << "'s subgraph";
       rq.tree->InsertForwarded(graph_, item.node, m, &router_,
                                &scratch_completed_);
       break;
+    }
     case ExchangeKind::kComplete:
       scratch_completed_.push_back(std::move(m));
       break;

@@ -1,39 +1,42 @@
 #include "streamworks/match/match.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "streamworks/common/hash.h"
 #include "streamworks/common/logging.h"
 
 namespace streamworks {
 
+Match::Match(const QueryGraph& query)
+    : num_vertices_(static_cast<uint8_t>(query.num_vertices())),
+      num_edges_(static_cast<uint8_t>(query.num_edges())) {
+  if (num_vertices_ > kInlineArity || num_edges_ > kInlineArity) {
+    wide_ = std::make_unique<std::byte[]>(WideBytes());
+  }
+  std::fill_n(vertex_map(), num_vertices_, kInvalidVertexId);
+  std::fill_n(edge_map(), num_edges_, kInvalidEdgeId);
+  std::fill_n(ts_map(), num_edges_, Timestamp{0});
+}
+
 void Match::BindVertex(QueryVertexId qv, VertexId dv) {
-  SW_DCHECK(vertex_map_[qv] == kInvalidVertexId || vertex_map_[qv] == dv)
+  SW_DCHECK_LT(qv, num_vertices_);
+  VertexId& slot = vertex_map()[qv];
+  SW_DCHECK(slot == kInvalidVertexId || slot == dv)
       << "rebinding query vertex to a different data vertex";
-  vertex_map_[qv] = dv;
+  slot = dv;
   bound_vertices_.Add(qv);
 }
 
 void Match::UnbindVertex(QueryVertexId qv) {
-  vertex_map_[qv] = kInvalidVertexId;
+  vertex_map()[qv] = kInvalidVertexId;
   bound_vertices_.Remove(qv);
 }
 
-bool Match::UsesDataVertex(VertexId dv) const {
-  for (int qv : bound_vertices_) {
-    if (vertex_map_[qv] == dv) return true;
-  }
-  return false;
-}
-
 void Match::BindEdge(QueryEdgeId qe, EdgeId de, Timestamp ts) {
+  SW_DCHECK_LT(qe, num_edges_);
   SW_DCHECK(!HasEdge(qe)) << "query edge already bound";
-  if (ts_of_edge_.size() < edge_map_.size()) {
-    ts_of_edge_.resize(edge_map_.size(), 0);
-  }
-  edge_map_[qe] = de;
-  ts_of_edge_[qe] = ts;
+  edge_map()[qe] = de;
+  ts_map()[qe] = ts;
   bound_edges_.Add(qe);
   min_ts_ = std::min(min_ts_, ts);
   max_ts_ = std::max(max_ts_, ts);
@@ -41,36 +44,15 @@ void Match::BindEdge(QueryEdgeId qe, EdgeId de, Timestamp ts) {
 
 void Match::UnbindEdge(QueryEdgeId qe) {
   SW_DCHECK(HasEdge(qe));
-  edge_map_[qe] = kInvalidEdgeId;
+  edge_map()[qe] = kInvalidEdgeId;
   bound_edges_.Remove(qe);
   min_ts_ = kMaxTimestamp;
   max_ts_ = kMinTimestamp;
+  const Timestamp* ts = ts_map();
   for (int e : bound_edges_) {
-    min_ts_ = std::min(min_ts_, ts_of_edge_[e]);
-    max_ts_ = std::max(max_ts_, ts_of_edge_[e]);
+    min_ts_ = std::min(min_ts_, ts[e]);
+    max_ts_ = std::max(max_ts_, ts[e]);
   }
-}
-
-bool Match::UsesDataEdge(EdgeId de) const {
-  for (int qe : bound_edges_) {
-    if (edge_map_[qe] == de) return true;
-  }
-  return false;
-}
-
-Timestamp Match::edge_ts(QueryEdgeId qe) const {
-  SW_DCHECK(HasEdge(qe));
-  return ts_of_edge_[qe];
-}
-
-Timestamp Match::min_ts() const {
-  SW_DCHECK(!bound_edges_.Empty());
-  return min_ts_;
-}
-
-Timestamp Match::max_ts() const {
-  SW_DCHECK(!bound_edges_.Empty());
-  return max_ts_;
 }
 
 bool Match::FitsWindowWith(Timestamp ts, Timestamp window) const {
@@ -84,33 +66,37 @@ EdgeId Match::MaxDataEdgeId() const {
   SW_DCHECK(!bound_edges_.Empty());
   EdgeId max_id = 0;
   for (int qe : bound_edges_) {
-    max_id = std::max(max_id, edge_map_[qe]);
+    max_id = std::max(max_id, edge(static_cast<QueryEdgeId>(qe)));
   }
   return max_id;
 }
 
 uint64_t Match::MappingSignature() const {
   // Ordered fold over ascending query ids: equal mappings hash equal.
+  const VertexId* vmap = vertex_map();
+  const EdgeId* emap = edge_map();
   uint64_t h = 0x5741d8a3c5u;
   for (int qv : bound_vertices_) {
-    h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^ vertex_map_[qv]);
+    h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^ vmap[qv]);
   }
   for (int qe : bound_edges_) {
     h = HashCombine(h, (static_cast<uint64_t>(qe + 64) << 32) ^
-                           Mix64(edge_map_[qe]));
+                           Mix64(emap[qe]));
   }
   return h;
 }
 
 uint64_t Match::ExternalMappingSignature(const DynamicGraph& graph) const {
+  const VertexId* vmap = vertex_map();
+  const EdgeId* emap = edge_map();
   uint64_t h = 0x5741d8a3c5u;
   for (int qv : bound_vertices_) {
     h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^
-                           Mix64(graph.external_id(vertex_map_[qv])));
+                           Mix64(graph.external_id(vmap[qv])));
   }
   for (int qe : bound_edges_) {
     h = HashCombine(h, (static_cast<uint64_t>(qe + 64) << 32) ^
-                           Mix64(edge_map_[qe]));
+                           Mix64(emap[qe]));
   }
   return h;
 }
@@ -118,24 +104,11 @@ uint64_t Match::ExternalMappingSignature(const DynamicGraph& graph) const {
 uint64_t Match::EdgeSetSignature() const {
   // XOR of per-edge hashes: order-independent over the data edge *set*.
   uint64_t h = Mix64(static_cast<uint64_t>(bound_edges_.Count()) + 1);
+  const EdgeId* emap = edge_map();
   for (int qe : bound_edges_) {
-    h ^= Mix64(edge_map_[qe] + 0x9e37u);
+    h ^= Mix64(emap[qe] + 0x9e37u);
   }
   return h;
-}
-
-Match Match::Union(const Match& a, const Match& b) {
-  SW_DCHECK(!a.bound_edges().Intersects(b.bound_edges()))
-      << "joining matches with overlapping query edges";
-  Match out = a;
-  for (int qv : b.bound_vertices_) {
-    out.BindVertex(static_cast<QueryVertexId>(qv), b.vertex_map_[qv]);
-  }
-  for (int qe : b.bound_edges_) {
-    out.BindEdge(static_cast<QueryEdgeId>(qe), b.edge_map_[qe],
-                 b.ts_of_edge_[qe]);
-  }
-  return out;
 }
 
 std::string Match::ToString() const {
@@ -152,7 +125,7 @@ std::string Match::ToString() const {
     out += 'v';
     out += std::to_string(qv);
     out += "->";
-    out += std::to_string(vertex_map_[qv]);
+    out += std::to_string(vertex(static_cast<QueryVertexId>(qv)));
   }
   out += " | ";
   first = true;
@@ -162,9 +135,9 @@ std::string Match::ToString() const {
     out += 'e';
     out += std::to_string(qe);
     out += "->#";
-    out += std::to_string(edge_map_[qe]);
+    out += std::to_string(edge(static_cast<QueryEdgeId>(qe)));
     out += '@';
-    out += std::to_string(ts_of_edge_[qe]);
+    out += std::to_string(ts_map()[qe]);
   }
   out += '}';
   if (!bound_edges_.Empty()) {
@@ -185,7 +158,8 @@ std::string Match::ToExternalString(const DynamicGraph& graph) const {
     out += 'v';
     out += std::to_string(qv);
     out += "->";
-    out += std::to_string(graph.external_id(vertex_map_[qv]));
+    out += std::to_string(
+        graph.external_id(vertex(static_cast<QueryVertexId>(qv))));
   }
   out += " | ";
   first = true;
@@ -195,9 +169,9 @@ std::string Match::ToExternalString(const DynamicGraph& graph) const {
     out += 'e';
     out += std::to_string(qe);
     out += "->#";
-    out += std::to_string(edge_map_[qe]);
+    out += std::to_string(edge(static_cast<QueryEdgeId>(qe)));
     out += '@';
-    out += std::to_string(ts_of_edge_[qe]);
+    out += std::to_string(ts_map()[qe]);
   }
   out += '}';
   if (!bound_edges_.Empty()) {
@@ -205,37 +179,6 @@ std::string Match::ToExternalString(const DynamicGraph& graph) const {
     out += std::to_string(Span());
   }
   return out;
-}
-
-bool JoinCompatible(const Match& a, const Match& b, Timestamp window) {
-  if (a.bound_edges().Intersects(b.bound_edges())) return false;
-  if (a.bound_edges().Empty() || b.bound_edges().Empty()) return false;
-
-  // Combined time span must respect the strict window.
-  const Timestamp lo = std::min(a.min_ts(), b.min_ts());
-  const Timestamp hi = std::max(a.max_ts(), b.max_ts());
-  if (hi - lo >= window) return false;
-
-  // Shared query vertices must agree; exclusive ones must stay injective.
-  const Bitset64 shared = a.bound_vertices() & b.bound_vertices();
-  for (int qv : shared) {
-    if (a.vertex(static_cast<QueryVertexId>(qv)) !=
-        b.vertex(static_cast<QueryVertexId>(qv))) {
-      return false;
-    }
-  }
-  for (int qv : b.bound_vertices() - shared) {
-    if (a.UsesDataVertex(b.vertex(static_cast<QueryVertexId>(qv)))) {
-      return false;
-    }
-  }
-
-  // No data edge may serve two query edges (parallel data edges are
-  // distinct, but the same data edge must not be reused).
-  for (int qe : b.bound_edges()) {
-    if (a.UsesDataEdge(b.edge(static_cast<QueryEdgeId>(qe)))) return false;
-  }
-  return true;
 }
 
 }  // namespace streamworks

@@ -1,6 +1,7 @@
 #include "streamworks/sjtree/exchange.h"
 
 #include "streamworks/common/logging.h"
+#include "streamworks/common/str_util.h"
 
 namespace streamworks {
 
@@ -64,11 +65,31 @@ StatusOr<Match> MatchExchange::Localize(DynamicGraph* graph,
                                         const WireMatch& wire) {
   Match m(query);
   for (const WireVertexBinding& vb : wire.vertices) {
+    if (vb.qv >= query.num_vertices()) {
+      return Status::InvalidArgument(
+          StrCat("wire binding names query vertex v", static_cast<int>(vb.qv),
+                 " of a ", query.num_vertices(), "-vertex query"));
+    }
     SW_ASSIGN_OR_RETURN(const VertexId dv,
                         graph->InternVertex(vb.vertex, vb.label));
+    if (m.HasVertex(vb.qv) && m.vertex(vb.qv) != dv) {
+      return Status::InvalidArgument(
+          StrCat("wire match binds query vertex v", static_cast<int>(vb.qv),
+                 " to two data vertices"));
+    }
     m.BindVertex(vb.qv, dv);
   }
   for (const WireEdgeBinding& eb : wire.edges) {
+    if (eb.qe >= query.num_edges()) {
+      return Status::InvalidArgument(
+          StrCat("wire binding names query edge e", static_cast<int>(eb.qe),
+                 " of a ", query.num_edges(), "-edge query"));
+    }
+    if (m.HasEdge(eb.qe)) {
+      return Status::InvalidArgument(
+          StrCat("wire match binds query edge e", static_cast<int>(eb.qe),
+                 " twice"));
+    }
     m.BindEdge(eb.qe, eb.edge, eb.ts);
   }
   return m;

@@ -112,9 +112,11 @@ class MatchExchange {
 
   /// Rebuilds a local match from wire form, interning vertices this shard
   /// has never seen (their adjacency stays empty; expansion never scans a
-  /// vertex the local shard doesn't own). Fails only on a vertex-label
-  /// clash, which group-level ingest validation rules out — so callers may
-  /// treat an error as a logic bug.
+  /// vertex the local shard doesn't own). Fails (InvalidArgument) on a
+  /// binding outside `query`, a query vertex bound to two data vertices, a
+  /// query edge bound twice, or a vertex-label clash. A well-formed sender
+  /// and group-level ingest validation rule all of these out, so callers
+  /// may treat an error as a logic bug.
   static StatusOr<Match> Localize(DynamicGraph* graph,
                                   const QueryGraph& query,
                                   const WireMatch& wire);

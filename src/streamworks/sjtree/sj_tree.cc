@@ -14,10 +14,15 @@ SjTree::SjTree(const QueryGraph* query, Decomposition decomposition,
     : query_(query),
       decomposition_(std::move(decomposition)),
       window_(window),
-      stores_(decomposition_.num_nodes()),
-      stats_(decomposition_.num_nodes()) {
+      stats_(decomposition_.num_nodes()),
+      combined_(decomposition_.num_nodes()) {
   SW_CHECK_OK(decomposition_.Validate(*query_));
   SW_CHECK_GT(window_, 0);
+  stores_.reserve(decomposition_.num_nodes());
+  for (int n = 0; n < decomposition_.num_nodes(); ++n) {
+    const DecompositionNode& dn = decomposition_.node(n);
+    stores_.emplace_back(dn.vertices, dn.edges);
+  }
   // Precompute one anchor plan per (leaf, query edge in leaf): the arriving
   // edge may enter the leaf through any of its edges.
   for (int leaf : decomposition_.leaves()) {
@@ -98,8 +103,7 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
   const int sibling = decomposition_.Sibling(node);
   const uint64_t key = CutKey(parent, m);
   stores_[node].Insert(key, m);
-  const size_t total = TotalPartialMatches();
-  peak_total_ = std::max(peak_total_, total);
+  peak_total_ = std::max(peak_total_, ++live_total_);
 
   // Probe the sibling's collection through the parent's cut (§4.2): the
   // hash key equates cut-vertex assignments; JoinCompatible re-validates
@@ -114,17 +118,24 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
   ++stats_[node].probes;
   const Timestamp cutoff = Cutoff(
       router != nullptr ? router->safe_watermark() : graph.watermark());
-  std::vector<Match> combined;  // buffered: the probe must not re-enter
-  stores_[sibling].ProbeKey(key, cutoff, [&](const Match& s) {
+  // Joins are buffered so every dead partner is erased before any insert
+  // upward. Propagation only climbs, so no deeper call touches this
+  // node's scratch.
+  std::vector<Match>& combined = combined_[node];
+  MatchStore& partners = stores_[sibling];
+  const size_t partners_before = partners.size();
+  partners.ProbeKey(key, cutoff, [&](const MatchRow& s) {
     ++stats_[node].join_attempts;
     if (JoinCompatible(m, s, window_)) {
       ++stats_[node].joins_succeeded;
       combined.push_back(Match::Union(m, s));
     }
   });
+  live_total_ -= partners_before - partners.size();
   for (const Match& c : combined) {
     InsertAndPropagate(graph, parent, c, completed, router);
   }
+  combined.clear();
 }
 
 void SjTree::RunAnchorPlan(const DynamicGraph& graph, size_t plan_index,
@@ -223,6 +234,7 @@ void SjTree::ExpireOldMatches(Timestamp watermark) {
   const Timestamp cutoff = Cutoff(watermark);
   if (cutoff <= 0) return;
   for (MatchStore& store : stores_) store.Expire(cutoff);
+  live_total_ = TotalPartialMatches();
 }
 
 size_t SjTree::TotalPartialMatches() const {

@@ -163,7 +163,11 @@ class SjTree {
   std::vector<AnchorPlan> anchor_plans_;
   std::vector<MatchStore> stores_;   ///< Indexed by decomposition node id.
   std::vector<SjNodeStats> stats_;
+  /// Per-node scratch for the joins one insert produces, reused across
+  /// calls so a join allocates nothing once warm.
+  std::vector<std::vector<Match>> combined_;
   uint64_t completed_count_ = 0;
+  size_t live_total_ = 0;  ///< TotalPartialMatches(), kept incrementally.
   size_t peak_total_ = 0;
 };
 

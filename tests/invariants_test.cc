@@ -10,6 +10,8 @@
 #include "streamworks/common/interner.h"
 #include "streamworks/common/random.h"
 #include "streamworks/core/engine.h"
+#include "streamworks/core/shard_runtime.h"
+#include "streamworks/graph/partition.h"
 #include "streamworks/graph/dynamic_graph.h"
 #include "streamworks/graph/query_graph.h"
 #include "streamworks/graph/random_graphs.h"
@@ -53,6 +55,43 @@ TEST(InvariantDeathTest, EngineSjtreeOnUnknownIdAborts) {
   Interner interner;
   StreamWorksEngine engine(&interner);
   EXPECT_DEATH(engine.sjtree(3), "unknown query id");
+}
+
+TEST(InvariantDeathTest, ExchangeItemOutsideTheTreeAborts) {
+  Interner interner;
+  QueryGraphBuilder builder(&interner);
+  const auto a = builder.AddVertex("V");
+  const auto b = builder.AddVertex("V");
+  const auto c = builder.AddVertex("V");
+  builder.AddEdge(a, b, "x");
+  builder.AddEdge(b, c, "y");
+  const QueryGraph query = builder.Build("path2").value();
+  const HashModuloPartitioner partitioner;
+  ShardRuntime shard(&interner, EngineOptions{}, 0, 2, &partitioner);
+  const Decomposition plan =
+      Decomposition::MakeLeftDeep(query, {Bitset64::Single(0),
+                                          Bitset64::Single(1)})
+          .value();
+  const int id = shard.Register(query, plan, 10, nullptr).value();
+  const LabelId v = interner.Intern("V");
+
+  ExchangeItem item;
+  item.query_id = id;
+  item.match.vertices = {{0, 1, v}, {1, 2, v}};
+  item.match.edges = {{0, 0, 1}};
+  item.kind = ExchangeKind::kExpand;
+  item.plan = 99;
+  EXPECT_DEATH(shard.ApplyItem(item), "unknown anchor plan");
+  item.plan = 0;
+  item.step = 5;
+  EXPECT_DEATH(shard.ApplyItem(item), "outside its expansion order");
+  item.kind = ExchangeKind::kInsert;
+  item.node = 7;
+  EXPECT_DEATH(shard.ApplyItem(item), "inserts at unknown node");
+  item.node = plan.root();
+  EXPECT_DEATH(shard.ApplyItem(item), "inserts at unknown node");
+  item.node = plan.leaves()[1];  // the leaf of e1, but the match binds e0
+  EXPECT_DEATH(shard.ApplyItem(item), "does not bind node");
 }
 
 TEST(InvariantDeathTest, NegativeRetentionAborts) {

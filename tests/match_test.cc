@@ -152,6 +152,129 @@ TEST(MatchTest, UnionMergesBindings) {
   EXPECT_EQ(u.bound_edges().Count(), 2);
 }
 
+/// The largest query QueryGraphBuilder accepts: a directed cycle over
+/// kMaxQuerySize vertices and kMaxQuerySize edges, far past Match's inline
+/// capacity.
+QueryGraph MaxArityCycle(Interner* interner) {
+  QueryGraphBuilder builder(interner);
+  for (int i = 0; i < kMaxQuerySize; ++i) builder.AddVertex("V");
+  for (int i = 0; i < kMaxQuerySize; ++i) {
+    builder.AddEdge(static_cast<QueryVertexId>(i),
+                    static_cast<QueryVertexId>((i + 1) % kMaxQuerySize), "x");
+  }
+  return builder.Build("cycle64").value();
+}
+
+/// Binds cycle edges [first, last) of `q` and their endpoints: query vertex
+/// i -> data vertex i, query edge i -> data edge 500 + i at ts 10 + i.
+Match BindCycleArc(const QueryGraph& q, int first, int last) {
+  Match m(q);
+  for (int i = first; i < last; ++i) {
+    const QueryEdge& e = q.edge(static_cast<QueryEdgeId>(i));
+    m.BindVertex(e.src, e.src);
+    m.BindVertex(e.dst, e.dst);
+    m.BindEdge(static_cast<QueryEdgeId>(i), 500 + i, 10 + i);
+  }
+  return m;
+}
+
+TEST(MatchTest, MaxArityBindAndUnbind) {
+  Interner interner;
+  const QueryGraph q = MaxArityCycle(&interner);
+  Match m = BindCycleArc(q, 0, kMaxQuerySize);
+  EXPECT_EQ(m.num_bound_edges(), kMaxQuerySize);
+  EXPECT_EQ(m.bound_vertices().Count(), kMaxQuerySize);
+  EXPECT_EQ(m.vertex(63), 63u);
+  EXPECT_EQ(m.edge(63), 563u);
+  EXPECT_EQ(m.edge_ts(63), 73);
+  EXPECT_EQ(m.min_ts(), 10);
+  EXPECT_EQ(m.max_ts(), 73);
+  EXPECT_EQ(m.MaxDataEdgeId(), 563u);
+
+  m.UnbindEdge(63);
+  EXPECT_FALSE(m.HasEdge(63));
+  EXPECT_FALSE(m.UsesDataEdge(563));
+  EXPECT_EQ(m.max_ts(), 72);
+  m.UnbindEdge(0);
+  EXPECT_EQ(m.min_ts(), 11);
+  m.UnbindVertex(63);
+  EXPECT_FALSE(m.HasVertex(63));
+  EXPECT_FALSE(m.UsesDataVertex(63));
+  EXPECT_TRUE(m.UsesDataVertex(62));
+}
+
+TEST(MatchTest, MaxArityUnionEqualityAndSignatures) {
+  Interner interner;
+  const QueryGraph q = MaxArityCycle(&interner);
+  DynamicGraph graph(&interner);
+  const LabelId v = interner.Intern("V");
+  for (int i = 0; i < kMaxQuerySize; ++i) {
+    ASSERT_EQ(graph.InternVertex(7000 + i, v).value(),
+              static_cast<VertexId>(i));
+  }
+  const Match full = BindCycleArc(q, 0, kMaxQuerySize);
+  const Match left = BindCycleArc(q, 0, 32);
+  const Match right = BindCycleArc(q, 32, kMaxQuerySize);
+  ASSERT_TRUE(JoinCompatible(left, right, 100));
+  ASSERT_TRUE(JoinCompatible(right, left, 100));
+  EXPECT_FALSE(JoinCompatible(left, right, 63));  // span 63 is not < 63
+
+  const Match joined = Match::Union(left, right);
+  EXPECT_TRUE(joined == full);
+  EXPECT_EQ(joined.MappingSignature(), full.MappingSignature());
+  EXPECT_EQ(joined.EdgeSetSignature(), full.EdgeSetSignature());
+  EXPECT_EQ(joined.ExternalMappingSignature(graph),
+            full.ExternalMappingSignature(graph));
+  EXPECT_EQ(joined.ToString(), full.ToString());
+
+  // Copies are deep: changing one binding changes only the copy.
+  Match copy = full;
+  copy.UnbindEdge(40);
+  copy.BindEdge(40, 999, 50);
+  EXPECT_FALSE(copy == full);
+  EXPECT_NE(copy.MappingSignature(), full.MappingSignature());
+  EXPECT_NE(copy.EdgeSetSignature(), full.EdgeSetSignature());
+  EXPECT_NE(copy.ExternalMappingSignature(graph),
+            full.ExternalMappingSignature(graph));
+  EXPECT_EQ(full.edge(40), 540u);
+  Match moved = std::move(copy);
+  EXPECT_EQ(moved.edge(40), 999u);
+  // A moved-from match is the empty default shape, readable as such.
+  EXPECT_TRUE(copy == Match());
+  EXPECT_EQ(copy.num_bound_edges(), 0);
+  EXPECT_EQ(copy.ToString(), Match().ToString());
+  copy = full;  // ... and takes a new value
+  EXPECT_TRUE(copy == full);
+}
+
+TEST(MatchTest, CopyAndMoveAcrossInlineAndWideShapes) {
+  Interner interner;
+  const QueryGraph wide_q = MaxArityCycle(&interner);
+  const QueryGraph path_q = PathQuery(&interner);
+  const Match wide = BindCycleArc(wide_q, 0, 10);
+  Match path(path_q);
+  path.BindVertex(0, 1);
+  path.BindVertex(1, 2);
+  path.BindEdge(0, 100, 5);
+
+  Match m = wide;
+  EXPECT_TRUE(m == wide);
+  m = path;  // wide -> inline
+  EXPECT_TRUE(m == path);
+  EXPECT_EQ(m.edge_ts(0), 5);
+  m = wide;  // inline -> wide
+  EXPECT_TRUE(m == wide);
+  EXPECT_EQ(m.edge_ts(9), 19);
+
+  Match inline_moved = path;
+  Match target = std::move(inline_moved);
+  EXPECT_TRUE(target == path);
+  EXPECT_TRUE(inline_moved == Match());
+  target = std::move(m);  // inline target takes a wide match
+  EXPECT_TRUE(target == wide);
+  EXPECT_TRUE(m == Match());
+}
+
 TEST(MatchTest, JoinCompatibleAcceptsConsistentPair) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);

@@ -3,7 +3,8 @@
 // randomized streams (including window-expiry boundaries, mid-stream
 // registration backfill, and unregister), while retaining strictly fewer
 // edges per shard than broadcast mode, with the cross-shard exchange doing
-// real forwarding.
+// real forwarding. MatchExchange::Localize must reject wire bindings that
+// do not fit the query.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "streamworks/core/parallel.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/graph/random_graphs.h"
+#include "streamworks/sjtree/exchange.h"
 
 namespace streamworks {
 namespace {
@@ -209,6 +211,46 @@ TEST(PartitionTest, ExchangeForwardsAcrossShardsAndCountersBalance) {
   // work is unavoidable, and after Flush nothing is in flight.
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(sent, received);
+}
+
+TEST(MatchExchangeTest, LocalizeRejectsBindingsOutsideTheQuery) {
+  Interner interner;
+  QueryGraphBuilder builder(&interner);
+  const auto a = builder.AddVertex("V");
+  const auto b = builder.AddVertex("V");
+  builder.AddEdge(a, b, "x");
+  const QueryGraph query = builder.Build("one_edge").value();
+  const LabelId v = interner.Intern("V");
+  DynamicGraph graph(&interner);
+
+  WireMatch good;
+  good.vertices = {{0, 100, v}, {1, 101, v}, {1, 101, v}};  // repeat agrees
+  good.edges = {{0, 7, 5}};
+  auto localized = MatchExchange::Localize(&graph, query, good);
+  ASSERT_TRUE(localized.ok()) << localized.status().ToString();
+  EXPECT_EQ(graph.external_id(localized->vertex(1)), 101u);
+  EXPECT_EQ(localized->edge_ts(0), 5);
+
+  auto expect_rejected = [&](const WireMatch& wire, const char* what) {
+    const auto result = MatchExchange::Localize(&graph, query, wire);
+    EXPECT_FALSE(result.ok()) << what;
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << what;
+    }
+  };
+  WireMatch wide_vertex = good;
+  wide_vertex.vertices[0].qv = 40;
+  expect_rejected(wide_vertex, "vertex binding beyond the query");
+  WireMatch wide_edge = good;
+  wide_edge.edges[0].qe = 1;
+  expect_rejected(wide_edge, "edge binding beyond the query");
+  WireMatch rebound = good;
+  rebound.vertices[2].vertex = 102;
+  expect_rejected(rebound, "query vertex bound to two data vertices");
+  WireMatch edge_twice = good;
+  edge_twice.edges.push_back({0, 8, 6});
+  expect_rejected(edge_twice, "query edge bound twice");
 }
 
 TEST(PartitionTest, ShardsRetainFewerEdgesThanBroadcast) {

@@ -1,14 +1,18 @@
 // Tests for streamworks/sjtree: decomposition construction and validation
-// (SJ-Tree Properties 1-4), the hash-indexed MatchStore with lazy expiry,
-// and the SjTree incremental matcher, including a three-way equivalence
-// property sweep against the naive incremental matcher and the batch
-// oracle.
+// (SJ-Tree Properties 1-4), the flat hash-indexed MatchStore with lazy
+// expiry and compaction, and the SjTree incremental matcher, including a
+// three-way equivalence property sweep against the naive incremental
+// matcher and the batch oracle, and wide queries (past Match's inline
+// capacity, up to the largest accepted) against both baseline matchers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "streamworks/baseline/naive.h"
+#include "streamworks/baseline/recompute.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/random.h"
 #include "streamworks/graph/dynamic_graph.h"
@@ -20,9 +24,28 @@
 #include "streamworks/sjtree/decomposition.h"
 #include "streamworks/sjtree/match_store.h"
 #include "streamworks/sjtree/sj_tree.h"
+#include "streamworks/stream/batching.h"
 
 namespace streamworks {
+
+/// Reads the table layout MatchStore keeps private: row capacity, table
+/// size and a key's home slot.
+class MatchStoreLayoutPeer {
+ public:
+  static size_t RowCapacity(const MatchStore& store) {
+    return store.row_capacity();
+  }
+  static size_t NumSlots(const MatchStore& store) {
+    return store.slots_.size();
+  }
+  static size_t HomeSlot(uint64_t key, size_t num_slots) {
+    return MatchStore::HomeSlot(key, num_slots);
+  }
+};
+
 namespace {
+
+using Layout = MatchStoreLayoutPeer;
 
 StreamEdge MakeEdge(Interner* interner, uint64_t src, uint64_t dst,
                     std::string_view elabel, Timestamp ts,
@@ -200,6 +223,12 @@ TEST(DecompositionTest, ToStringShowsCutsAndLabels) {
 
 // --- MatchStore ------------------------------------------------------------------
 
+/// The row shape of a store holding MakeStoredMatch's matches: query
+/// vertices {v0, v1} and query edge e0.
+MatchStore EdgeZeroStore() {
+  return MatchStore(Bitset64::FirstN(2), Bitset64::Single(0));
+}
+
 Match MakeStoredMatch(const QueryGraph& q, VertexId v0, VertexId v1,
                       EdgeId de, Timestamp ts) {
   Match m(q);
@@ -212,14 +241,14 @@ Match MakeStoredMatch(const QueryGraph& q, VertexId v0, VertexId v1,
 TEST(MatchStoreTest, ProbeFindsOnlyMatchingKey) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
+  MatchStore store = EdgeZeroStore();
   store.Insert(111, MakeStoredMatch(q, 1, 2, 10, 5));
   store.Insert(222, MakeStoredMatch(q, 3, 4, 11, 6));
   int visited = 0;
-  store.ProbeKey(111, 0, [&](const Match&) { ++visited; });
+  store.ProbeKey(111, 0, [&](const MatchRow&) { ++visited; });
   EXPECT_EQ(visited, 1);
   visited = 0;
-  store.ProbeKey(999, 0, [&](const Match&) { ++visited; });
+  store.ProbeKey(999, 0, [&](const MatchRow&) { ++visited; });
   EXPECT_EQ(visited, 0);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.total_inserted(), 2u);
@@ -228,11 +257,11 @@ TEST(MatchStoreTest, ProbeFindsOnlyMatchingKey) {
 TEST(MatchStoreTest, ProbeErasesDeadEntries) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
+  MatchStore store = EdgeZeroStore();
   store.Insert(7, MakeStoredMatch(q, 1, 2, 10, 5));    // min_ts 5
   store.Insert(7, MakeStoredMatch(q, 3, 4, 11, 50));   // min_ts 50
   int visited = 0;
-  store.ProbeKey(7, /*cutoff=*/10, [&](const Match& m) {
+  store.ProbeKey(7, /*cutoff=*/10, [&](const MatchRow& m) {
     ++visited;
     EXPECT_EQ(m.min_ts(), 50);
   });
@@ -244,7 +273,7 @@ TEST(MatchStoreTest, ProbeErasesDeadEntries) {
 TEST(MatchStoreTest, ExpireSweepsEverything) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
+  MatchStore store = EdgeZeroStore();
   for (int i = 0; i < 10; ++i) {
     store.Insert(i % 3, MakeStoredMatch(q, i, i + 1, i, i));
   }
@@ -255,6 +284,181 @@ TEST(MatchStoreTest, ExpireSweepsEverything) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.total_expired(), 10u);
   EXPECT_EQ(store.peak_size(), 10u);  // peak survives expiry
+}
+
+/// Edge ids of the live rows under `key`, in visit order.
+std::vector<EdgeId> ProbeEdgeIds(MatchStore* store, uint64_t key,
+                                 Timestamp cutoff = 0) {
+  std::vector<EdgeId> ids;
+  store->ProbeKey(key, cutoff,
+                  [&](const MatchRow& row) { ids.push_back(row.edge(0)); });
+  return ids;
+}
+
+TEST(MatchStoreTest, ChainsVisitNewestFirst) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  MatchStore store = EdgeZeroStore();
+  for (int i = 0; i < 5; ++i) {
+    store.Insert(7, MakeStoredMatch(q, i, i + 10, 100 + i, i));
+    store.Insert(8, MakeStoredMatch(q, i, i + 20, 200 + i, i));
+  }
+  EXPECT_EQ(ProbeEdgeIds(&store, 7),
+            (std::vector<EdgeId>{104, 103, 102, 101, 100}));
+  EXPECT_EQ(ProbeEdgeIds(&store, 8),
+            (std::vector<EdgeId>{204, 203, 202, 201, 200}));
+}
+
+TEST(MatchStoreTest, KeysSharingAHomeSlotDoNotMix) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  MatchStore store = EdgeZeroStore();
+  store.Insert(0, MakeStoredMatch(q, 0, 1, 1000, 100));
+  const size_t slots = Layout::NumSlots(store);
+  ASSERT_GT(slots, 0u);
+  // Three keys that all probe from the same slot: one linear-probe cluster.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < 3; ++k) {
+    if (Layout::HomeSlot(k, slots) == Layout::HomeSlot(1, slots)) {
+      keys.push_back(k);
+    }
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    store.Insert(keys[i], MakeStoredMatch(q, 1, 2, 10 * (i + 1), 5));
+    store.Insert(keys[i], MakeStoredMatch(q, 1, 2, 10 * (i + 1) + 1, 50));
+  }
+  ASSERT_EQ(Layout::NumSlots(store), slots);  // no rehash separated them
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const EdgeId base = 10 * (i + 1);
+    EXPECT_EQ(ProbeEdgeIds(&store, keys[i]),
+              (std::vector<EdgeId>{base + 1, base}));
+  }
+  // Emptying the first key's chain frees its slot; the later keys of the
+  // cluster must stay reachable.
+  EXPECT_TRUE(ProbeEdgeIds(&store, keys[0], /*cutoff=*/100).empty());
+  EXPECT_TRUE(ProbeEdgeIds(&store, keys[0]).empty());
+  EXPECT_EQ(ProbeEdgeIds(&store, keys[1]), (std::vector<EdgeId>{21, 20}));
+  EXPECT_EQ(ProbeEdgeIds(&store, keys[2]), (std::vector<EdgeId>{31, 30}));
+  EXPECT_EQ(ProbeEdgeIds(&store, 0), (std::vector<EdgeId>{1000}));
+}
+
+TEST(MatchStoreTest, ChainEmptiedByLazyExpiryTakesNewInserts) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  MatchStore store = EdgeZeroStore();
+  store.Insert(5, MakeStoredMatch(q, 1, 2, 10, 1));
+  store.Insert(5, MakeStoredMatch(q, 3, 4, 11, 2));
+  EXPECT_TRUE(ProbeEdgeIds(&store, 5, /*cutoff=*/10).empty());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.total_expired(), 2u);
+  store.Insert(5, MakeStoredMatch(q, 5, 6, 12, 20));
+  EXPECT_EQ(ProbeEdgeIds(&store, 5, /*cutoff=*/10),
+            (std::vector<EdgeId>{12}));
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(MatchStoreTest, ReusedRowNeverResurfacesAnExpiredBinding) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  MatchStore store = EdgeZeroStore();
+  store.Insert(1, MakeStoredMatch(q, 1, 2, 10, 5));
+  store.Insert(2, MakeStoredMatch(q, 3, 4, 20, 50));
+  EXPECT_TRUE(ProbeEdgeIds(&store, 1, /*cutoff=*/10).empty());
+  ASSERT_EQ(Layout::RowCapacity(store), 2u);
+
+  store.Insert(3, MakeStoredMatch(q, 7, 8, 30, 60));
+  EXPECT_EQ(Layout::RowCapacity(store), 2u);  // the freed row was reused
+  EXPECT_TRUE(ProbeEdgeIds(&store, 1).empty());
+  int visited = 0;
+  store.ProbeKey(3, 0, [&](const MatchRow& row) {
+    ++visited;
+    EXPECT_EQ(row.vertex(0), 7u);
+    EXPECT_EQ(row.vertex(1), 8u);
+    EXPECT_EQ(row.edge(0), 30u);
+    EXPECT_EQ(row.edge_ts(0), 60);
+    EXPECT_EQ(row.min_ts(), 60);
+    EXPECT_EQ(row.max_ts(), 60);
+  });
+  EXPECT_EQ(visited, 1);
+  EXPECT_EQ(ProbeEdgeIds(&store, 2), (std::vector<EdgeId>{20}));
+}
+
+TEST(MatchStoreTest, GrowthAndCompactionKeepEveryLiveRowReachable) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  MatchStore store = EdgeZeroStore();
+  constexpr int kRows = 2000;
+  constexpr uint64_t kKeys = 300;
+  std::vector<std::vector<EdgeId>> expected(kKeys);  // newest first
+  Rng rng(11);
+  for (int i = 0; i < kRows; ++i) {
+    const uint64_t key = rng.NextBounded(kKeys);
+    store.Insert(key, MakeStoredMatch(q, i, i + 1, i, i));
+    expected[key].insert(expected[key].begin(), static_cast<EdgeId>(i));
+  }
+  EXPECT_EQ(Layout::RowCapacity(store), static_cast<size_t>(kRows));
+  const size_t grown_slots = Layout::NumSlots(store);
+
+  // Keep the newest 100 rows: the sweep leaves the store 5% full.
+  constexpr Timestamp kCutoff = kRows - 100;
+  store.Expire(kCutoff);
+  EXPECT_EQ(store.size(), 100u);
+  EXPECT_EQ(Layout::RowCapacity(store), 100u);
+  EXPECT_LT(Layout::NumSlots(store), grown_slots);
+  for (auto& ids : expected) {
+    std::erase_if(ids, [](EdgeId e) { return e < EdgeId{kCutoff}; });
+  }
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ(ProbeEdgeIds(&store, key), expected[key]) << "key " << key;
+  }
+
+  // The compacted store keeps taking inserts on the same chains.
+  for (int i = kRows; i < kRows + 50; ++i) {
+    const uint64_t key = rng.NextBounded(kKeys);
+    store.Insert(key, MakeStoredMatch(q, i, i + 1, i, i));
+    expected[key].insert(expected[key].begin(), static_cast<EdgeId>(i));
+  }
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ(ProbeEdgeIds(&store, key), expected[key]) << "key " << key;
+  }
+  store.Expire(kMaxTimestamp);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(Layout::RowCapacity(store), 0u);
+  EXPECT_EQ(Layout::NumSlots(store), 0u);
+}
+
+TEST(MatchStoreTest, RowJoinsLikeTheMatchItStores) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  // A row of the second path edge: columns v1, v2 and e1.
+  MatchStore store(Bitset64::Single(1) | Bitset64::Single(2),
+                   Bitset64::Single(1));
+  Match right(q);
+  right.BindVertex(1, 2);
+  right.BindVertex(2, 3);
+  right.BindEdge(1, 11, 9);
+  store.Insert(4, right);
+  Match left(q);
+  left.BindVertex(0, 1);
+  left.BindVertex(1, 2);
+  left.BindEdge(0, 10, 5);
+  Match clash = left;
+  clash.UnbindVertex(0);
+  clash.BindVertex(0, 3);  // v0 -> 3 collides with the row's v2 -> 3
+
+  int visited = 0;
+  store.ProbeKey(4, 0, [&](const MatchRow& row) {
+    ++visited;
+    EXPECT_EQ(row.vertex(2), 3u);
+    EXPECT_EQ(row.edge_ts(1), 9);
+    EXPECT_TRUE(JoinCompatible(left, row, 100));
+    EXPECT_FALSE(JoinCompatible(left, row, 4));  // span 4 is not < 4
+    EXPECT_FALSE(JoinCompatible(clash, row, 100));
+    EXPECT_EQ(Match::Union(left, row), Match::Union(left, right));
+    EXPECT_EQ(Match::Union(left, row).MappingSignature(),
+              Match::Union(left, right).MappingSignature());
+  });
+  EXPECT_EQ(visited, 1);
 }
 
 // --- SjTree: hand-built scenarios ---------------------------------------------
@@ -468,6 +672,111 @@ TEST(SjTreeStructureTest, PrimitivePairLeavesGetMultiEdgeOrders) {
   for (const AnchorPlan& plan : tree.anchor_plans()) {
     EXPECT_EQ(plan.order.size(), 2u);
   }
+}
+
+// --- Wide queries: bindings past Match's inline capacity ---------------------
+
+/// Directed path over `num_edges` "x" edges; closes into a cycle when
+/// `cycle` (the last edge then returns to v0).
+QueryGraph XChainQuery(Interner* interner, int num_edges, bool cycle) {
+  QueryGraphBuilder builder(interner);
+  const int num_vertices = cycle ? num_edges : num_edges + 1;
+  for (int i = 0; i < num_vertices; ++i) builder.AddVertex("V");
+  for (int i = 0; i < num_edges; ++i) {
+    builder.AddEdge(static_cast<QueryVertexId>(i),
+                    static_cast<QueryVertexId>((i + 1) % num_vertices), "x");
+  }
+  return builder.Build(cycle ? "x_cycle" : "x_path").value();
+}
+
+/// "x" links i -> (i + 1) % modulus for i in [0, links), every
+/// `double_every`-th link doubled by a parallel edge, arriving out of
+/// order: each link's arrival is jittered by up to `jitter` positions. Edge
+/// timestamps are arrival positions, so every edge is its own tick.
+std::vector<StreamEdge> JitteredXChain(Interner* interner, int links,
+                                       int modulus, int double_every,
+                                       int jitter, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<uint64_t, int>> arrival;  // (sort key, link)
+  for (int i = 0; i < links; ++i) {
+    for (int copy = 0; copy < (i % double_every == 0 ? 2 : 1); ++copy) {
+      arrival.emplace_back(i * 64 + rng.NextBounded(jitter * 64 + 1), i);
+    }
+  }
+  std::sort(arrival.begin(), arrival.end());
+  std::vector<StreamEdge> edges;
+  for (const auto& [key, link] : arrival) {
+    edges.push_back(MakeEdge(interner, link, (link + 1) % modulus, "x",
+                             static_cast<Timestamp>(edges.size())));
+  }
+  return edges;
+}
+
+/// Runs `edges` through an SjTree over `decomposition` and through both
+/// oracles; expects the same non-empty multiset of completions.
+void ExpectWideQueryAgreesWithOracles(Interner* interner,
+                                      const QueryGraph& q,
+                                      Decomposition decomposition,
+                                      Timestamp window,
+                                      const std::vector<StreamEdge>& edges) {
+  SjTree tree(&q, std::move(decomposition), window);
+  DynamicGraph graph(interner);
+  NaiveIncrementalMatcher naive(&q, window, interner);
+  std::multiset<uint64_t> sjtree_sigs, naive_sigs, recompute_sigs;
+  int step = 0;
+  for (const StreamEdge& e : edges) {
+    std::vector<Match> completed;
+    tree.ProcessEdge(graph, graph.AddEdge(e).value(), &completed);
+    for (const Match& m : completed) {
+      sjtree_sigs.insert(m.ExternalMappingSignature(graph));
+    }
+    const std::vector<Match> found = naive.ProcessEdge(e).value();
+    for (const Match& m : found) {
+      naive_sigs.insert(m.ExternalMappingSignature(naive.graph()));
+    }
+    if (++step % 16 == 0) tree.ExpireOldMatches(graph.watermark());
+  }
+  RecomputeMatcher recompute(&q, window, interner);
+  for (const EdgeBatch& batch : BatchByTick(edges)) {
+    const std::vector<Match> found = recompute.ProcessBatch(batch).value();
+    for (const Match& m : found) {
+      recompute_sigs.insert(m.ExternalMappingSignature(recompute.graph()));
+    }
+  }
+  EXPECT_FALSE(sjtree_sigs.empty());
+  EXPECT_EQ(sjtree_sigs, naive_sigs);
+  EXPECT_EQ(sjtree_sigs, recompute_sigs);
+}
+
+TEST(SjTreeWideQueryTest, TwelveEdgePathAgreesWithOracles) {
+  Interner interner;
+  const QueryGraph q = XChainQuery(&interner, 12, /*cycle=*/false);
+  ASSERT_GT(q.num_vertices(), Match::kInlineArity);
+  // A 40-link chain with jittered arrival: some 12-link windows complete
+  // within the window and some do not.
+  const auto edges = JitteredXChain(&interner, 40, 1000, 5, 8, 17);
+  const auto leaves = SingleEdgeLeaves(q);
+  ExpectWideQueryAgreesWithOracles(
+      &interner, q, Decomposition::MakeLeftDeep(q, leaves).value(),
+      /*window=*/20, edges);
+  ExpectWideQueryAgreesWithOracles(
+      &interner, q, Decomposition::MakeBalanced(q, leaves).value(),
+      /*window=*/20, edges);
+}
+
+TEST(SjTreeWideQueryTest, LargestAcceptedQueryAgreesWithOracles) {
+  Interner interner;
+  const QueryGraph q = XChainQuery(&interner, kMaxQuerySize, /*cycle=*/true);
+  ASSERT_EQ(q.num_vertices(), kMaxQuerySize);
+  ASSERT_EQ(q.num_edges(), kMaxQuerySize);
+  // A 64-vertex data ring with two doubled links: each of its 64
+  // rotations, times the 4 choices of parallel edges, is a match.
+  const auto edges =
+      JitteredXChain(&interner, kMaxQuerySize, kMaxQuerySize, 32, 8, 23);
+  ExpectWideQueryAgreesWithOracles(
+      &interner, q,
+      Decomposition::MakeLeftDeep(q, SingleEdgeLeaves(q)).value(),
+      /*window=*/1000, edges);
 }
 
 // --- Equivalence property sweep ---------------------------------------------------
